@@ -4,7 +4,11 @@
 //!   formula (3) (full vectors) as history buffers grow;
 //! * operation integration end-to-end at the notifier and at a client,
 //!   with varying numbers of concurrent pending operations (transform
-//!   load).
+//!   load);
+//! * a client's steady state deep into a session — a long history buffer
+//!   and a full undo stack — for both a remote execution and a local
+//!   edit. These rows compare history- and undo-dependent bookkeeping
+//!   across versions; they are not a gate.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use cvc_core::formulas::{formula3_full_vector, formula5_client, formula7_notifier};
@@ -120,10 +124,65 @@ fn bench_client_integration(c: &mut Criterion) {
     g.finish();
 }
 
+/// A client `hb` entries into a session: its history alternates a local
+/// insert and the server op acknowledging it, so nothing is in flight,
+/// and its undo stack is full.
+fn steady_client(hb: usize) -> Client {
+    let mut client = Client::new(SiteId(1), &"x".repeat(64));
+    for k in 0..hb {
+        if k % 2 == 0 {
+            client.insert(client.doc_len() / 2, "p");
+        } else {
+            client.on_server_op(acking_server_op(&client));
+        }
+    }
+    client
+}
+
+/// The next server op for `client`, acknowledging all its local ops.
+fn acking_server_op(client: &Client) -> ServerOpMsg {
+    let sv = client.state_vector();
+    ServerOpMsg {
+        stamp: CompressedStamp::new(sv.received() + 1, sv.generated()),
+        op: SeqOp::from_pos(&PosOp::insert(0, "s"), client.doc_len()),
+        cursor: None,
+    }
+}
+
+/// Steady state 4096 entries into a session with a full undo stack
+/// (2048 local edits ≫ `MAX_UNDO_DEPTH`). Each sample executes one more op
+/// on the same client, so the history grows by one entry per sample and no
+/// clone or drop of the replica is timed.
+fn bench_client_steady_state(c: &mut Criterion) {
+    const HB: usize = 4096;
+    let mut client = steady_client(HB);
+    let mut g = c.benchmark_group("client_on_server_op");
+    g.sample_size(100);
+    g.bench_function(BenchmarkId::new("steady_hb_full_undo", HB), |b| {
+        b.iter(|| {
+            let msg = acking_server_op(&client);
+            std::hint::black_box(client.on_server_op(msg))
+        })
+    });
+    g.finish();
+
+    let mut client = steady_client(HB);
+    let mut g = c.benchmark_group("client_local_edit");
+    g.sample_size(100);
+    g.bench_function(BenchmarkId::new("steady_hb_full_undo", HB), |b| {
+        b.iter(|| {
+            let mid = client.doc_len() / 2;
+            std::hint::black_box(client.insert(mid, "q"))
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_formulas,
     bench_notifier_integration,
-    bench_client_integration
+    bench_client_integration,
+    bench_client_steady_state
 );
 criterion_main!(benches);

@@ -175,6 +175,21 @@ impl SeqOp {
         self
     }
 
+    /// [`SeqOp::insert`] for owned text: a new component takes the
+    /// `String` as is; merging into a neighbour falls back to copying.
+    fn insert_owned(&mut self, text: String) {
+        match self.components.last() {
+            Some(Component::Insert(_) | Component::Delete(_)) => {
+                self.insert(&text);
+            }
+            _ if text.is_empty() => {}
+            _ => {
+                self.target_len += text.chars().count();
+                self.components.push(Component::Insert(text));
+            }
+        }
+    }
+
     /// Append a delete of `n` characters.
     pub fn delete(&mut self, n: usize) -> &mut Self {
         if n == 0 {
@@ -324,8 +339,7 @@ impl SeqOp {
                 }
                 // b's inserts pass straight through.
                 (_, Some(Component::Insert(_))) => {
-                    let s = bi.take_all_insert();
-                    out.insert(&s);
+                    out.insert(bi.take_all_insert());
                 }
                 (None, Some(_)) | (Some(_), None) => {
                     unreachable!("length precondition violated despite check")
@@ -380,12 +394,12 @@ impl SeqOp {
                 (Some(Component::Insert(_)), _) => {
                     let s = ai.take_all_insert();
                     b1.retain(s.chars().count());
-                    a1.insert(&s);
+                    a1.insert(s);
                 }
                 (_, Some(Component::Insert(_))) => {
                     let s = bi.take_all_insert();
                     a1.retain(s.chars().count());
-                    b1.insert(&s);
+                    b1.insert(s);
                 }
                 (None, Some(_)) | (Some(_), None) => {
                     unreachable!("length precondition violated despite check")
@@ -418,6 +432,69 @@ impl SeqOp {
             }
         }
         Ok((a1, b1))
+    }
+
+    /// One-sided transform in place: `*self = transform(self, b)?.0`,
+    /// without building the `b'` half. Insert texts move from the old run
+    /// into the new one instead of being copied, and `spare` lends the
+    /// output its component buffer (it gets the old one back, emptied), so
+    /// a caller rebasing many operations in a loop allocates nothing in
+    /// steady state. On error `self` is left unchanged.
+    pub fn rebase(&mut self, b: &SeqOp, spare: &mut Vec<Component>) -> Result<(), SeqError> {
+        if self.base_len != b.base_len {
+            return Err(SeqError::TransformMismatch {
+                a_base: self.base_len,
+                b_base: b.base_len,
+            });
+        }
+        spare.clear();
+        let mut old = std::mem::replace(&mut self.components, std::mem::take(spare));
+        self.base_len = 0;
+        self.target_len = 0;
+        let mut ai = old.drain(..);
+        let mut head = ai.next();
+        let mut bi = ComponentCursor::new(&b.components);
+        loop {
+            // The same case analysis as `transform`, emitting `a'` only.
+            match (head.as_mut(), bi.peek()) {
+                (None, None) => break,
+                (Some(Component::Insert(s)), _) => {
+                    self.insert_owned(std::mem::take(s));
+                    head = ai.next();
+                }
+                (_, Some(Component::Insert(_))) => {
+                    self.retain(bi.take_all_insert().chars().count());
+                }
+                (None, Some(_)) | (Some(_), None) => {
+                    unreachable!("length precondition violated despite check")
+                }
+                (Some(Component::Retain(n)), Some(bc)) => {
+                    let m = (*n).min(bi.len_avail());
+                    if matches!(bc, Component::Retain(_)) {
+                        self.retain(m);
+                    }
+                    *n -= m;
+                    bi.consume(m);
+                    if *n == 0 {
+                        head = ai.next();
+                    }
+                }
+                (Some(Component::Delete(n)), Some(bc)) => {
+                    let m = (*n).min(bi.len_avail());
+                    if matches!(bc, Component::Retain(_)) {
+                        self.delete(m);
+                    }
+                    *n -= m;
+                    bi.consume(m);
+                    if *n == 0 {
+                        head = ai.next();
+                    }
+                }
+            }
+        }
+        drop(ai);
+        *spare = old;
+        Ok(())
     }
 
     /// Lift a positional operation onto a document of `doc_len` characters.
@@ -571,10 +648,19 @@ impl<'a> ComponentCursor<'a> {
         }
     }
 
-    /// Take the whole remaining text of the current insert component.
-    fn take_all_insert(&mut self) -> String {
-        let n = self.len_avail();
-        self.take_insert_text(n)
+    /// Take the whole remaining text of the current insert component,
+    /// borrowed from the run rather than copied.
+    fn take_all_insert(&mut self) -> &'a str {
+        let Some(Component::Insert(s)) = self.peek() else {
+            unreachable!("take_all_insert on non-insert component")
+        };
+        let rest = match s.char_indices().nth(self.offset) {
+            Some((byte, _)) => &s[byte..],
+            None => "",
+        };
+        self.idx += 1;
+        self.offset = 0;
+        rest
     }
 
     /// Take the whole remaining length of the current delete component.

@@ -154,6 +154,178 @@ proptest! {
     }
 }
 
+/// Raw material for a multi-component op: `(kind, span, text)` triples,
+/// fitted to a base length by [`build_on`].
+type Parts = Vec<(u8, usize, String)>;
+
+fn arb_parts() -> impl Strategy<Value = Parts> {
+    proptest::collection::vec((0u8..3, 1usize..4, "[a-cα-γ]{1,3}"), 0..8)
+}
+
+/// A normalized op on a document of `len` chars: retains and deletes are
+/// clipped to what is left, inserts (multi-char, non-ASCII) go anywhere,
+/// and a final retain covers the rest. Small alphabets and short spans
+/// make insert ties and deletes straddling the other op's inserts common.
+fn build_on(len: usize, parts: &Parts) -> SeqOp {
+    let mut op = SeqOp::new();
+    let mut left = len;
+    for (kind, n, text) in parts {
+        match kind {
+            0 => {
+                let n = (*n).min(left);
+                op.retain(n);
+                left -= n;
+            }
+            1 => {
+                op.insert(text);
+            }
+            _ => {
+                let n = (*n).min(left);
+                op.delete(n);
+                left -= n;
+            }
+        }
+    }
+    op.retain(left);
+    op
+}
+
+/// The dual transform as it stood before insert texts were borrowed: each
+/// insert is copied out of its component and then into the output. Kept
+/// here as the reference the production transform must match exactly.
+fn transform_reference(a: &SeqOp, b: &SeqOp) -> (SeqOp, SeqOp) {
+    struct Cur<'a> {
+        comps: &'a [Component],
+        idx: usize,
+        offset: usize,
+    }
+    impl<'a> Cur<'a> {
+        fn peek(&self) -> Option<&'a Component> {
+            self.comps.get(self.idx)
+        }
+        fn avail(&self) -> usize {
+            match self.peek() {
+                Some(Component::Retain(n)) | Some(Component::Delete(n)) => n - self.offset,
+                Some(Component::Insert(s)) => s.chars().count() - self.offset,
+                None => 0,
+            }
+        }
+        fn consume(&mut self, n: usize) {
+            self.offset += n;
+            if self.avail() == 0 {
+                self.idx += 1;
+                self.offset = 0;
+            }
+        }
+        fn take_all_insert(&mut self) -> String {
+            let n = self.avail();
+            let Some(Component::Insert(s)) = self.peek() else {
+                unreachable!("insert expected")
+            };
+            let text: String = s.chars().skip(self.offset).take(n).collect();
+            self.consume(n);
+            text
+        }
+    }
+    assert_eq!(a.base_len(), b.base_len());
+    let (mut a1, mut b1) = (SeqOp::new(), SeqOp::new());
+    let mut ai = Cur {
+        comps: a.components(),
+        idx: 0,
+        offset: 0,
+    };
+    let mut bi = Cur {
+        comps: b.components(),
+        idx: 0,
+        offset: 0,
+    };
+    loop {
+        match (ai.peek(), bi.peek()) {
+            (None, None) => break,
+            (Some(Component::Insert(_)), _) => {
+                let s = ai.take_all_insert();
+                b1.retain(s.chars().count());
+                a1.insert(&s);
+            }
+            (_, Some(Component::Insert(_))) => {
+                let s = bi.take_all_insert();
+                a1.retain(s.chars().count());
+                b1.insert(&s);
+            }
+            (None, Some(_)) | (Some(_), None) => unreachable!("equal base lengths"),
+            (Some(ac), Some(bc)) => {
+                let n = ai.avail().min(bi.avail());
+                match (ac, bc) {
+                    (Component::Retain(_), Component::Retain(_)) => {
+                        a1.retain(n);
+                        b1.retain(n);
+                    }
+                    (Component::Delete(_), Component::Retain(_)) => {
+                        a1.delete(n);
+                    }
+                    (Component::Retain(_), Component::Delete(_)) => {
+                        b1.delete(n);
+                    }
+                    _ => {} // both deleted the same text
+                }
+                ai.consume(n);
+                bi.consume(n);
+            }
+        }
+    }
+    (a1, b1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The borrowing dual transform equals the copying reference, and the
+    /// in-place rebase equals its first half, bit for bit.
+    #[test]
+    fn transform_and_rebase_match_the_reference(
+        doc in "[a-cα-γ]{0,8}",
+        a_parts in arb_parts(),
+        b_parts in arb_parts(),
+        junk in "[x-z]{0,3}",
+    ) {
+        let len = doc.chars().count();
+        let a = build_on(len, &a_parts);
+        let b = build_on(len, &b_parts);
+        let (ra, rb) = transform_reference(&a, &b);
+        let (ta, tb) = SeqOp::transform(&a, &b).unwrap();
+        prop_assert_eq!(&ta, &ra);
+        prop_assert_eq!(&tb, &rb);
+        // TP1 on the actual document, as a sanity anchor.
+        let left = tb.apply(&a.apply(&doc).unwrap()).unwrap();
+        let right = ta.apply(&b.apply(&doc).unwrap()).unwrap();
+        prop_assert_eq!(left, right);
+        // The spare buffer may arrive dirty; rebase must not read it.
+        let mut spare = vec![Component::Insert(junk), Component::Retain(7)];
+        let mut r = a.clone();
+        r.rebase(&b, &mut spare).unwrap();
+        prop_assert_eq!(&r, &ta);
+        prop_assert!(spare.is_empty());
+        // Chained rebases through one spare equal chained transforms.
+        let mut r2 = b.clone();
+        r2.rebase(&a, &mut spare).unwrap();
+        let mut via_transform = SeqOp::transform(&b, &a).unwrap().0;
+        prop_assert_eq!(&r2, &via_transform);
+        let c = build_on(r2.base_len(), &a_parts);
+        r2.rebase(&c, &mut spare).unwrap();
+        via_transform = SeqOp::transform(&via_transform, &c).unwrap().0;
+        prop_assert_eq!(&r2, &via_transform);
+    }
+}
+
+#[test]
+fn rebase_rejects_mismatched_bases_and_leaves_the_op_unchanged() {
+    let mut a = SeqOp::from_pos(&PosOp::insert(1, "αβ"), 3);
+    let before = a.clone();
+    let mut spare = Vec::new();
+    assert!(a.rebase(&SeqOp::identity(4), &mut spare).is_err());
+    assert_eq!(a, before);
+}
+
 /// Turn an abstract edit into a SeqOp valid on `doc`.
 fn materialize(e: &Edit, doc: &str) -> SeqOp {
     let len = doc.chars().count();

@@ -12,10 +12,15 @@
 //! control over arrival orders.
 //!
 //! Every remote integration runs the paper's concurrency check (formula
-//! (5)) over the history buffer *and* the bridge's sequence arithmetic, and
-//! asserts they select the same concurrent set — the two formulations are
-//! equivalent, and the engine checks that equivalence on every single
-//! operation it processes.
+//! (5)) *and* the bridge's sequence arithmetic, and asserts they select the
+//! same concurrent set — the two formulations are equivalent, and the
+//! engine checks that equivalence on every single operation it processes.
+//! Formula (5) is evaluated over the live suffix of the history buffer
+//! only: a monotone cursor skips the prefix that can never be concurrent
+//! again (notifier ops, and local ops the notifier has acknowledged), so
+//! the per-op cost follows the in-flight operations, not the session
+//! length. Undo/redo inverses are rebased in place through every executed
+//! operation.
 
 use crate::bridge::{Bridge, BridgeError, BridgeRole};
 use crate::error::ProtocolError;
@@ -29,7 +34,7 @@ use cvc_core::timestamp::OriginAtClient;
 use cvc_ot::buffer::TextBuffer;
 use cvc_ot::cursor::{transform_cursor, Bias};
 use cvc_ot::pos::PosOp;
-use cvc_ot::seq::SeqOp;
+use cvc_ot::seq::{Component, SeqOp};
 use std::collections::{HashMap, VecDeque};
 
 /// Undo depth retained per client: each local operation keeps its
@@ -64,6 +69,11 @@ pub struct Client {
     doc: TextBuffer,
     bridge: Bridge,
     hb: Vec<ClientHbEntry>,
+    /// Formula-(5) scan cursor: every history entry before it is dead — a
+    /// notifier op, or a local op with sequence number ≤ `acked_local` —
+    /// and no later server op can find it concurrent, because `T[1]`
+    /// strictly increases and `T[2]` never decreases along the stream.
+    scan_from: usize,
     /// Highest `T[2]` seen on a server op: the notifier has integrated our
     /// local operations up to this sequence number.
     acked_local: u64,
@@ -80,6 +90,9 @@ pub struct Client {
     /// Inverses of undos (redo candidates), maintained the same way;
     /// cleared by any fresh local edit, as in conventional editors.
     redo_stack: VecDeque<SeqOp>,
+    /// Component buffer lent to [`SeqOp::rebase`] while the undo/redo
+    /// stacks ride an executed operation.
+    rebase_spare: Vec<Component>,
     /// This user's caret position (drives the telepointer we send).
     caret: usize,
     /// Whether local operations carry the caret (telepointer presence).
@@ -100,10 +113,12 @@ impl Client {
             doc: TextBuffer::from_str(initial),
             bridge: Bridge::new(BridgeRole::Client),
             hb: Vec::new(),
+            scan_from: 0,
             acked_local: 0,
             last_ack_sent: 0,
             undo_stack: VecDeque::new(),
             redo_stack: VecDeque::new(),
+            rebase_spare: Vec::new(),
             caret: 0,
             share_caret: true,
             remote_carets: HashMap::new(),
@@ -283,8 +298,8 @@ impl Client {
             "bridge sequence must equal SV_i[2] (paper Section 3.3)"
         );
         for inv in self.undo_stack.iter_mut().chain(&mut self.redo_stack) {
-            let (i2, _) = SeqOp::transform(inv, &op).expect("stack rides local ops");
-            *inv = i2;
+            inv.rebase(&op, &mut self.rebase_spare)
+                .expect("stack rides local ops");
         }
         match kind {
             UndoKind::Fresh | UndoKind::Redo => self.undo_stack.push_back(inverse),
@@ -416,6 +431,8 @@ impl Client {
         self.hb
             .retain(|e| e.origin == OriginAtClient::Local && e.stamp.get(2) > acked);
         let collected = before - self.hb.len();
+        // Only live entries remain.
+        self.scan_from = 0;
         if collected > 0 && self.recorder.is_enabled() {
             self.recorder.record(
                 FlightEvent::new(EventKind::GcTrim)
@@ -516,17 +533,36 @@ impl Client {
                 got: msg.stamp.get(1),
             });
         }
-        if msg.stamp.get(2) > self.sv.generated() {
+        let acked = msg.stamp.get(2);
+        if acked > self.sv.generated() {
             return Err(ProtocolError::AckOverrun {
                 site: self.site,
                 sent: self.sv.generated(),
-                acked: msg.stamp.get(2),
+                acked,
             });
         }
-        // Paper concurrency check (formula (5)) over the whole HB.
-        let mut checked = Vec::with_capacity(self.hb.len());
+        if acked < self.acked_local {
+            return Err(ProtocolError::AckRegression {
+                site: self.site,
+                previous: self.acked_local,
+                acked,
+            });
+        }
+        // Paper concurrency check (formula (5)) over the live suffix. First
+        // move the cursor past entries this op's T[2] has made dead; they
+        // stay dead for every later server op. The cursor is committed only
+        // once the integration succeeds.
+        let hb_len = self.hb.len();
+        let mut first_checked = self.scan_from;
+        while let Some(e) = self.hb.get(first_checked) {
+            if e.origin == OriginAtClient::Local && e.stamp.get(2) > acked {
+                break;
+            }
+            first_checked += 1;
+        }
+        let mut checked = Vec::with_capacity(hb_len - first_checked);
         let mut concurrent_local = 0usize;
-        for entry in &self.hb {
+        for entry in &self.hb[first_checked..] {
             let verdict = formula5_client(msg.stamp, entry.stamp, entry.origin);
             checked.push(verdict);
             if verdict {
@@ -538,15 +574,19 @@ impl Client {
                 concurrent_local += 1;
             }
         }
-        self.metrics.concurrency_checks += checked.len() as u64;
+        self.metrics.concurrency_checks += hb_len as u64;
         self.metrics.concurrent_verdicts += concurrent_local as u64;
+        self.metrics.record_scan((hb_len - self.scan_from) as u64);
         if self.recorder.is_enabled() {
-            // One Transform event per formula (5) check. The checked
-            // entry is identified by origin: local ops by (site, T[2]),
-            // notifier ops — whose generation identity this client cannot
-            // know — by NO_SITE plus their stream position T[1] (the
-            // audit replayer resolves positions via Broadcast events).
-            for (entry, &verdict) in self.hb.iter().zip(&checked) {
+            // One Transform event per formula (5) check, prefix included
+            // (its verdicts are `false` by construction); this full walk
+            // exists only while recording. The checked entry is identified
+            // by origin: local ops by (site, T[2]), notifier ops — whose
+            // generation identity this client cannot know — by NO_SITE
+            // plus their stream position T[1] (the audit replayer resolves
+            // positions via Broadcast events).
+            for (k, entry) in self.hb.iter().enumerate() {
+                let verdict = k >= first_checked && checked[k - first_checked];
                 let (a, b) = match entry.origin {
                     OriginAtClient::FromNotifier => (u64::from(NO_SITE), entry.stamp.get(1)),
                     OriginAtClient::Local => (u64::from(self.site.0), entry.stamp.get(2)),
@@ -591,13 +631,13 @@ impl Client {
             .apply_to_buffer(&mut self.doc)
             .map_err(ProtocolError::BadOperation)?;
         for inv in self.undo_stack.iter_mut().chain(&mut self.redo_stack) {
-            let (i2, _) =
-                SeqOp::transform(inv, &integrated.op).map_err(ProtocolError::BadOperation)?;
-            *inv = i2;
+            inv.rebase(&integrated.op, &mut self.rebase_spare)
+                .map_err(ProtocolError::BadOperation)?;
         }
         // Rule 2: executing a notifier op bumps SV_i[1].
         self.sv.record_from_notifier();
-        self.acked_local = self.acked_local.max(msg.stamp.get(2));
+        self.acked_local = acked;
+        self.scan_from = first_checked;
         // Presence: every caret shifts under the executed remote op; the
         // author's caret is then overwritten by the transported one.
         self.caret = transform_cursor(self.caret, &integrated.op, Bias::Before);
@@ -625,6 +665,7 @@ impl Client {
         }
         Ok(ClientIntegration {
             executed: integrated.op,
+            first_checked,
             checked,
         })
     }
@@ -677,6 +718,7 @@ impl Client {
         self.sv = ClientStateVector::from_parts(sent_to_site, received_from_site);
         self.bridge = Bridge::resume(BridgeRole::Client, received_from_site, sent_to_site);
         self.hb.clear();
+        self.scan_from = 0;
         self.acked_local = received_from_site;
         self.last_ack_sent = sent_to_site;
         self.undo_stack.clear();
@@ -699,13 +741,36 @@ enum UndoKind {
 }
 
 /// Outcome of integrating one server operation at a client.
+///
+/// Formula-(5) verdicts are stored in suffix form: entries before
+/// [`ClientIntegration::first_checked`] were already dead (notifier ops and
+/// acknowledged local ops) and are non-concurrent by construction, so only
+/// the tail is materialised. Indices refer to [`Client::history`] *before*
+/// the new operation was appended.
 #[derive(Debug, Clone)]
 pub struct ClientIntegration {
     /// The executed (transformed) form of the arriving operation.
     pub executed: SeqOp,
-    /// Formula (5) verdict per history-buffer entry (index-aligned with
-    /// [`Client::history`] *before* the new operation was appended).
+    /// Index of the first history entry `checked` covers; every earlier
+    /// entry's verdict is `false`.
+    pub first_checked: usize,
+    /// Formula (5) verdicts for entries `first_checked..`.
     pub checked: Vec<bool>,
+}
+
+impl ClientIntegration {
+    /// Verdict for history entry `k` (pre-append indexing).
+    pub fn verdict(&self, k: usize) -> bool {
+        k >= self.first_checked && self.checked[k - self.first_checked]
+    }
+
+    /// All verdicts, materialised full-length: `full_verdicts()[k]` is
+    /// formula (5) for history entry `k`.
+    pub fn full_verdicts(&self) -> Vec<bool> {
+        let mut v = vec![false; self.first_checked];
+        v.extend_from_slice(&self.checked);
+        v
+    }
 }
 
 #[cfg(test)]
@@ -734,7 +799,7 @@ mod tests {
             cursor: None,
         });
         assert_eq!(outcome.executed, op);
-        assert!(outcome.checked.is_empty());
+        assert!(outcome.full_verdicts().is_empty());
         assert_eq!(c.doc(), "AB");
         assert_eq!(c.state_vector().stamp().as_pair(), (1, 0));
         assert_eq!(c.metrics().transforms, 0);
@@ -822,6 +887,100 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn ack_regression_is_rejected_and_leaves_the_replica_untouched() {
+        let mut c = Client::new(SiteId(1), "ab");
+        c.insert(0, "x"); // local #1
+        c.insert(0, "y"); // local #2
+        c.on_server_op(ServerOpMsg {
+            stamp: CompressedStamp::new(1, 2),
+            op: SeqOp::identity(4),
+            cursor: None,
+        });
+        let (doc, sv, hb) = (c.doc(), c.state_vector(), c.history().len());
+        // T[2] falls from 2 to 1: local #2 would be re-judged concurrent.
+        let err = c
+            .try_on_server_op(ServerOpMsg {
+                stamp: CompressedStamp::new(2, 1),
+                op: SeqOp::from_pos(&PosOp::insert(0, "!"), 3),
+                cursor: None,
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            crate::error::ProtocolError::AckRegression {
+                previous: 2,
+                acked: 1,
+                ..
+            }
+        ));
+        assert_eq!(err.kind_name(), "ack-regression");
+        assert_eq!(c.doc(), doc);
+        assert_eq!(c.state_vector(), sv);
+        assert_eq!(c.history().len(), hb);
+        assert_eq!(c.metrics().protocol_errors, 1);
+        // The stream continues from where it was.
+        c.on_server_op(ServerOpMsg {
+            stamp: CompressedStamp::new(2, 2),
+            op: SeqOp::from_pos(&PosOp::insert(0, "!"), 4),
+            cursor: None,
+        });
+        assert_eq!(c.doc(), "!yxab");
+    }
+
+    #[test]
+    fn scan_cursor_skips_the_dead_prefix() {
+        let mut c = Client::new(SiteId(1), "");
+        c.insert(0, "a"); // local #1
+        c.insert(1, "b"); // local #2
+
+        // Acks local #1 only: #2 is concurrent, #1 is not.
+        let out = c.on_server_op(ServerOpMsg {
+            stamp: CompressedStamp::new(1, 1),
+            op: SeqOp::from_pos(&PosOp::insert(0, "s"), 1),
+            cursor: None,
+        });
+        assert_eq!(out.first_checked, 1);
+        assert_eq!(out.checked, vec![true]);
+        assert_eq!(out.full_verdicts(), vec![false, true]);
+        assert!(!out.verdict(0) && out.verdict(1));
+        // Acks both: the cursor passes local #2 and the notifier entry.
+        let out = c.on_server_op(ServerOpMsg {
+            stamp: CompressedStamp::new(2, 2),
+            op: SeqOp::from_pos(&PosOp::insert(0, "t"), 3),
+            cursor: None,
+        });
+        assert_eq!(out.first_checked, 3);
+        assert!(out.checked.is_empty());
+        assert_eq!(out.full_verdicts(), vec![false; 3]);
+        let m = c.metrics();
+        // Logical checks count the whole buffer; touched entries count
+        // from the cursor: 2 (from 0) + 2 (from 1, advancing to 3).
+        assert_eq!(m.concurrency_checks, 2 + 3);
+        assert_eq!(m.scan_len_total, 2 + 2);
+        assert_eq!(m.concurrent_verdicts, 1);
+        // A new local op lands past the cursor and is checked.
+        c.insert(0, "c"); // local #3
+        let out = c.on_server_op(ServerOpMsg {
+            stamp: CompressedStamp::new(3, 2),
+            op: SeqOp::from_pos(&PosOp::insert(0, "u"), 4),
+            cursor: None,
+        });
+        assert_eq!(out.first_checked, 4);
+        assert_eq!(out.checked, vec![true]);
+        assert_eq!(c.metrics().scan_len_total, 4 + 2);
+        assert_eq!(c.metrics().concurrency_checks, 5 + 5);
+        // GC keeps only live entries and resets the cursor with them.
+        assert_eq!(c.gc(), 5);
+        let out = c.on_server_op(ServerOpMsg {
+            stamp: CompressedStamp::new(4, 3),
+            op: SeqOp::identity(c.doc_len()),
+            cursor: None,
+        });
+        assert_eq!(out.first_checked, 1);
+        assert!(out.checked.is_empty());
     }
 
     #[test]

@@ -37,6 +37,18 @@ pub enum ProtocolError {
         /// Operations the peer claims to have seen.
         acked: u64,
     },
+    /// A server operation acknowledged fewer of our operations (`T[2]`)
+    /// than an earlier one did. Along one FIFO stream the count only grows;
+    /// accepting a regression would re-judge acknowledged operations as
+    /// concurrent.
+    AckRegression {
+        /// Whose state detected it.
+        site: SiteId,
+        /// Highest acknowledgement seen so far.
+        previous: u64,
+        /// The lower acknowledgement the operation carried.
+        acked: u64,
+    },
     /// An operation arrived from a site outside the session.
     UnknownSite {
         /// The offending site id.
@@ -76,6 +88,7 @@ impl ProtocolError {
         match self {
             ProtocolError::FifoViolation { .. } => "fifo-violation",
             ProtocolError::AckOverrun { .. } => "ack-overrun",
+            ProtocolError::AckRegression { .. } => "ack-regression",
             ProtocolError::UnknownSite { .. } => "unknown-site",
             ProtocolError::DepartedSite { .. } => "departed-site",
             ProtocolError::BadOperation(_) => "bad-operation",
@@ -88,6 +101,7 @@ impl ProtocolError {
         match self {
             ProtocolError::FifoViolation { site, .. }
             | ProtocolError::AckOverrun { site, .. }
+            | ProtocolError::AckRegression { site, .. }
             | ProtocolError::UnknownSite { site, .. }
             | ProtocolError::DepartedSite { site }
             | ProtocolError::ReplayTrimmed { site, .. } => Some(*site),
@@ -110,6 +124,14 @@ impl fmt::Display for ProtocolError {
             ProtocolError::AckOverrun { site, sent, acked } => write!(
                 f,
                 "ack overrun at {site}: peer acked {acked} ops but only {sent} were sent"
+            ),
+            ProtocolError::AckRegression {
+                site,
+                previous,
+                acked,
+            } => write!(
+                f,
+                "ack regression at {site}: peer acked {acked} ops after acking {previous}"
             ),
             ProtocolError::UnknownSite { site, n_clients } => {
                 write!(f, "{site} outside session of {n_clients} clients")

@@ -36,8 +36,8 @@ pub struct SiteMetrics {
     pub hb_high_water: u64,
     /// History-buffer entries actually *touched* by concurrency scans.
     /// Equals [`SiteMetrics::concurrency_checks`] for full-scan sites; the
-    /// suffix-bounded notifier touches only the un-acked tail, so this
-    /// stays far below the logical check count.
+    /// suffix-bounded notifier and clients touch only the un-acked tail,
+    /// so this stays far below the logical check count.
     pub scan_len_total: u64,
     /// Longest single scan (high-water mark; aggregation takes the max).
     pub scan_len_max: u64,

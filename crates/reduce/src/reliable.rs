@@ -1760,7 +1760,7 @@ impl RobustClient {
                                         if let Some(tr) = &mut self.trace {
                                             tr.push(ClientEvent::Remote {
                                                 msg: m,
-                                                checked: out.checked,
+                                                checked: out.full_verdicts(),
                                             });
                                         }
                                         if self.auto_gc {

@@ -200,7 +200,7 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
 
     // --- O2' arrives at site 1 (HB_1 = [O1]). ---
     let outcome = c1.on_server_op(o2p_to_1.expect("broadcast to site 1"));
-    verdicts.push(("site 1", "O2'", "O1", outcome.checked[0]));
+    verdicts.push(("site 1", "O2'", "O1", outcome.verdict(0)));
     let o2p_at_site1 = outcome
         .executed
         .to_pos("A12BCDE")
@@ -216,7 +216,7 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
 
     // --- O2' arrives at site 3 (empty HB). ---
     let outcome = c3.on_server_op(o2p_to_3.expect("broadcast to site 3"));
-    assert!(outcome.checked.is_empty());
+    assert!(outcome.full_verdicts().is_empty());
     narration.push(format!("site 3 executes O2' as-is; doc: {:?}", c3.doc()));
 
     // --- Site 3 generates O4 on "AB". ---
@@ -255,7 +255,7 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
 
     // --- O1' arrives at site 2 (HB_2 = [O2]). ---
     let outcome = c2.on_server_op(o1p_to_2.expect("to site 2"));
-    verdicts.push(("site 2", "O1'", "O2", outcome.checked[0]));
+    verdicts.push(("site 2", "O1'", "O2", outcome.verdict(0)));
     narration.push(format!("site 2 executes O1' as-is; doc: {:?}", c2.doc()));
 
     // --- Site 2 generates O3 on "A12B". ---
@@ -269,8 +269,8 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
 
     // --- O1' arrives at site 3 (HB_3 = [O2', O4]). ---
     let outcome = c3.on_server_op(o1p_to_3.expect("to site 3"));
-    verdicts.push(("site 3", "O1'", "O2'", outcome.checked[0]));
-    verdicts.push(("site 3", "O1'", "O4", outcome.checked[1]));
+    verdicts.push(("site 3", "O1'", "O2'", outcome.verdict(0)));
+    verdicts.push(("site 3", "O1'", "O4", outcome.verdict(1)));
     narration.push(format!(
         "site 3: O1' ∥ O4 → transformed and executed; doc: {:?}",
         c3.doc()
@@ -304,15 +304,15 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
 
     // --- O4' arrives at site 1 (HB_1 = [O1, O2']). ---
     let outcome = c1.on_server_op(o4p_to_1.expect("to site 1"));
-    verdicts.push(("site 1", "O4'", "O1", outcome.checked[0]));
-    verdicts.push(("site 1", "O4'", "O2'", outcome.checked[1]));
+    verdicts.push(("site 1", "O4'", "O1", outcome.verdict(0)));
+    verdicts.push(("site 1", "O4'", "O2'", outcome.verdict(1)));
     narration.push(format!("site 1 executes O4' as-is; doc: {:?}", c1.doc()));
 
     // --- O4' arrives at site 2 (HB_2 = [O2, O1', O3]). ---
     let outcome = c2.on_server_op(o4p_to_2.expect("to site 2"));
-    verdicts.push(("site 2", "O4'", "O2", outcome.checked[0]));
-    verdicts.push(("site 2", "O4'", "O1'", outcome.checked[1]));
-    verdicts.push(("site 2", "O4'", "O3", outcome.checked[2]));
+    verdicts.push(("site 2", "O4'", "O2", outcome.verdict(0)));
+    verdicts.push(("site 2", "O4'", "O1'", outcome.verdict(1)));
+    verdicts.push(("site 2", "O4'", "O3", outcome.verdict(2)));
     narration.push(format!(
         "site 2: O4' ∥ O3 → transformed and executed; doc: {:?}",
         c2.doc()
@@ -347,14 +347,14 @@ pub fn fig3_walkthrough() -> Fig3Transcript {
 
     // --- O3' arrives at sites 1 and 3. ---
     let outcome = c1.on_server_op(o3p_to_1.expect("to site 1"));
-    verdicts.push(("site 1", "O3'", "O1", outcome.checked[0]));
-    verdicts.push(("site 1", "O3'", "O2'", outcome.checked[1]));
-    verdicts.push(("site 1", "O3'", "O4'", outcome.checked[2]));
+    verdicts.push(("site 1", "O3'", "O1", outcome.verdict(0)));
+    verdicts.push(("site 1", "O3'", "O2'", outcome.verdict(1)));
+    verdicts.push(("site 1", "O3'", "O4'", outcome.verdict(2)));
     narration.push(format!("site 1 executes O3' as-is; doc: {:?}", c1.doc()));
     let outcome = c3.on_server_op(o3p_to_3.expect("to site 3"));
-    verdicts.push(("site 3", "O3'", "O2'", outcome.checked[0]));
-    verdicts.push(("site 3", "O3'", "O4", outcome.checked[1]));
-    verdicts.push(("site 3", "O3'", "O1'", outcome.checked[2]));
+    verdicts.push(("site 3", "O3'", "O2'", outcome.verdict(0)));
+    verdicts.push(("site 3", "O3'", "O4", outcome.verdict(1)));
+    verdicts.push(("site 3", "O3'", "O1'", outcome.verdict(2)));
     narration.push(format!("site 3 executes O3' as-is; doc: {:?}", c3.doc()));
 
     let final_docs = [

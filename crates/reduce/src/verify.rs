@@ -184,7 +184,10 @@ pub fn verify_star(cfg: &VerifyConfig) -> VerifyReport {
                 // Deliver a server op to client i.
                 let (msg, prime_ref) = down[i].pop_front().expect("nonempty");
                 let outcome = clients[i].on_server_op(msg);
-                for (k, &verdict) in outcome.checked.iter().enumerate() {
+                // As at the notifier: the prefix the client's cursor
+                // skipped is materialised as well, so the oracle still
+                // judges every pair.
+                for (k, verdict) in outcome.full_verdicts().into_iter().enumerate() {
                     let truth = oracle.concurrent(prime_ref, hb_refs_client[i][k]);
                     report.record(verdict, truth, || {
                         format!(
@@ -309,7 +312,7 @@ pub fn verify_star_dynamic(cfg: &VerifyConfig, max_clients: usize) -> VerifyRepo
                 let (msg, prime_ref) = down[i].pop_front().expect("nonempty");
                 let client = clients[i].as_mut().expect("active");
                 let outcome = client.try_on_server_op(msg).expect("valid broadcast");
-                for (k, &verdict) in outcome.checked.iter().enumerate() {
+                for (k, verdict) in outcome.full_verdicts().into_iter().enumerate() {
                     let truth = oracle.concurrent(prime_ref, hb_refs_client[i][k]);
                     report.record(verdict, truth, || {
                         format!(

@@ -101,11 +101,12 @@ fn replay_and_audit(cfg: &SessionConfig, trace: &SessionTrace, live: &SessionRep
                             i + 1
                         );
                         let outcome = clients[i].on_server_op(expected);
+                        let verdicts = outcome.full_verdicts();
                         assert_eq!(
-                            &outcome.checked, checked,
+                            &verdicts, checked,
                             "live formula-(5) verdicts differ from the fault-free twin"
                         );
-                        for (k, &verdict) in outcome.checked.iter().enumerate() {
+                        for (k, &verdict) in verdicts.iter().enumerate() {
                             let truth = oracle.concurrent(prime_ref, hb_refs_client[i][k]);
                             assert_eq!(
                                 verdict,

@@ -1,4 +1,8 @@
-//! Property test for the notifier's watermark-bounded formula-(7) scan.
+//! Property tests for the suffix-bounded concurrency scans: the
+//! notifier's watermark-bounded formula-(7) scan, and the client's
+//! cursor-bounded formula-(5) scan.
+//!
+//! ## Notifier
 //!
 //! Randomized multi-site sessions — arbitrary interleavings of client
 //! edits, message deliveries, joins, leaves, and garbage collection —
@@ -19,13 +23,24 @@
 //!    ever discards entries that could no longer matter;
 //! 3. both replicas execute identical documents and emit identical
 //!    broadcast stamps.
+//!
+//! ## Client
+//!
+//! Random star sessions with undo/redo, explicit client `gc()` and
+//! full-state `adopt_snapshot` resyncs drive two twins per site: `A`
+//! collects its history, `B` never does, and both get identical calls.
+//! Per executed server op the test asserts that each twin's suffix
+//! verdicts equal a literal `formula5_client` scan over its whole history,
+//! that both twins judge the same operations concurrent and execute the
+//! same op, and that every local message and every document match.
 
 use std::collections::VecDeque;
 
-use cvc_core::formulas::formula7_dynamic;
+use cvc_core::formulas::{formula5_client, formula7_dynamic};
 use cvc_core::site::SiteId;
+use cvc_core::state_vector::CompressedStamp;
 use cvc_reduce::client::Client;
-use cvc_reduce::msg::ServerOpMsg;
+use cvc_reduce::msg::{ClientAckMsg, ClientOpMsg, ServerOpMsg};
 use cvc_reduce::notifier::{Notifier, ScanMode};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -233,5 +248,190 @@ proptest! {
 fn newcomer_race_agrees_with_reference() {
     for seed in 0..25u64 {
         drive(seed.wrapping_mul(0x9e37_79b9), 2, 6, 10, seed % 2 == 0).expect("property holds");
+    }
+}
+
+/// The paper's literal formula-(5) scan over a client's whole history.
+fn formula5_full_scan(client: &Client, arriving: CompressedStamp) -> Vec<bool> {
+    client
+        .history()
+        .iter()
+        .map(|e| formula5_client(arriving, e.stamp, e.origin))
+        .collect()
+}
+
+/// Stamps of the history entries `verdicts` marks concurrent.
+fn concurrent_stamps(client: &Client, verdicts: &[bool]) -> Vec<CompressedStamp> {
+    client
+        .history()
+        .iter()
+        .zip(verdicts)
+        .filter(|(_, &v)| v)
+        .map(|(e, _)| e.stamp)
+        .collect()
+}
+
+/// Upstream traffic; bare acks share the FIFO channel with operations.
+enum Up {
+    Op(ClientOpMsg),
+    Ack(ClientAckMsg),
+}
+
+fn drive_clients(
+    seed: u64,
+    n: usize,
+    ops_per_client: usize,
+    undo_fraction: f64,
+) -> proptest::TestCaseResult {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut notifier = Notifier::new(n, INITIAL);
+    // Twins per site: `.0` collects its history, `.1` never does.
+    let mut twins: Vec<(Client, Client)> = (1..=n)
+        .map(|i| {
+            let c = Client::new(SiteId(i as u32), INITIAL);
+            (c.clone(), c)
+        })
+        .collect();
+    let mut up: Vec<VecDeque<Up>> = (0..n).map(|_| VecDeque::new()).collect();
+    let mut down: Vec<VecDeque<ServerOpMsg>> = vec![VecDeque::new(); n];
+    let mut budget = vec![ops_per_client; n];
+    let mut resyncs = 0;
+
+    loop {
+        let mut actions: Vec<(u8, usize)> = Vec::new();
+        for i in 0..n {
+            if budget[i] > 0 {
+                actions.push((0, i));
+            }
+            if !up[i].is_empty() {
+                actions.push((1, i));
+            }
+            if !down[i].is_empty() {
+                actions.push((2, i));
+            }
+        }
+        if actions.is_empty() {
+            break;
+        }
+        for i in 0..n {
+            actions.push((3, i));
+        }
+        if resyncs < 2 {
+            actions.push((4, rng.gen_range(0..n)));
+        }
+        match actions[rng.gen_range(0..actions.len())] {
+            (0, i) => {
+                // Edit, undo or redo — identically on both twins.
+                budget[i] -= 1;
+                let (a, b) = &mut twins[i];
+                let (ma, mb) = if rng.gen_bool(undo_fraction) {
+                    if rng.gen_bool(0.7) {
+                        (a.undo_last_local(), b.undo_last_local())
+                    } else {
+                        (a.redo_last(), b.redo_last())
+                    }
+                } else {
+                    let len = a.doc_len();
+                    if len > 0 && rng.gen_bool(0.3) {
+                        let pos = rng.gen_range(0..len);
+                        let count = rng.gen_range(1..=3usize).min(len - pos);
+                        (Some(a.delete(pos, count)), Some(b.delete(pos, count)))
+                    } else {
+                        let pos = rng.gen_range(0..=len);
+                        let text: String = (0..rng.gen_range(1..=3usize))
+                            .map(|_| ['x', 'y', 'é', 'ß'][rng.gen_range(0..4)])
+                            .collect();
+                        (Some(a.insert(pos, &text)), Some(b.insert(pos, &text)))
+                    }
+                };
+                prop_assert_eq!(
+                    &ma,
+                    &mb,
+                    "twins generated different messages (seed {})",
+                    seed
+                );
+                up[i].extend(ma.map(Up::Op));
+            }
+            (1, i) => match up[i].pop_front().expect("nonempty") {
+                Up::Op(msg) => {
+                    let out = notifier.try_on_client_op(msg).expect("valid client op");
+                    for (dest, smsg) in out.broadcasts {
+                        down[dest.client_index()].push_back(smsg);
+                    }
+                }
+                Up::Ack(ack) => notifier.try_on_client_ack(ack).expect("valid ack"),
+            },
+            (2, i) => {
+                let msg = down[i].pop_front().expect("nonempty");
+                let (a, b) = &mut twins[i];
+                let expect_a = formula5_full_scan(a, msg.stamp);
+                let expect_b = formula5_full_scan(b, msg.stamp);
+                let conc_a = concurrent_stamps(a, &expect_a);
+                let conc_b = concurrent_stamps(b, &expect_b);
+                let out_a = a.try_on_server_op(msg.clone()).expect("valid broadcast");
+                let out_b = b.try_on_server_op(msg).expect("valid broadcast");
+                prop_assert_eq!(
+                    out_a.full_verdicts(),
+                    expect_a,
+                    "A vs full scan (seed {})",
+                    seed
+                );
+                prop_assert_eq!(
+                    out_b.full_verdicts(),
+                    expect_b,
+                    "B vs full scan (seed {})",
+                    seed
+                );
+                // Collection only ever discarded entries no scan would
+                // find concurrent.
+                prop_assert_eq!(conc_a, conc_b);
+                prop_assert_eq!(out_a.executed, out_b.executed);
+                prop_assert_eq!(a.doc(), b.doc());
+                let (ack_a, ack_b) = (a.take_pending_ack(), b.take_pending_ack());
+                prop_assert_eq!(ack_a, ack_b);
+                up[i].extend(ack_a.map(Up::Ack));
+            }
+            (3, i) => {
+                twins[i].0.gc();
+            }
+            (4, i) => {
+                // Full-state resync: queued traffic on both directions is
+                // abandoned, as after a connection loss past the replay
+                // horizon.
+                resyncs += 1;
+                up[i].clear();
+                down[i].clear();
+                let (doc, sent, received) = notifier.resync_snapshot_for(SiteId(i as u32 + 1));
+                twins[i].0.adopt_snapshot(&doc, sent, received);
+                twins[i].1.adopt_snapshot(&doc, sent, received);
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    let doc = notifier.doc();
+    for (a, b) in &twins {
+        prop_assert_eq!(&a.doc(), &doc, "divergence at quiescence (seed {})", seed);
+        prop_assert_eq!(&b.doc(), &doc);
+        let (ma, mb) = (a.metrics(), b.metrics());
+        prop_assert_eq!(ma.concurrent_verdicts, mb.concurrent_verdicts);
+        prop_assert_eq!(ma.transforms, mb.transforms);
+        prop_assert!(ma.scan_len_total <= mb.scan_len_total);
+        prop_assert!(mb.scan_len_total <= mb.concurrency_checks);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn client_suffix_scan_matches_full_scan_with_undo_gc_and_resync(
+        seed in any::<u64>(),
+        n in 2usize..5,
+        ops in 6usize..24,
+        undo_pct in 1u32..50,
+    ) {
+        drive_clients(seed, n, ops, f64::from(undo_pct) / 100.0)?;
     }
 }
