@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cvc-serve --addr 127.0.0.1:4100 --clients 64
-//! cvc-serve --clients 10000 --workers 2 --seconds 120
+//! cvc-serve --clients 10000 --seconds 120
 //! ```
 //!
 //! Binds, prints the resolved address (port 0 picks one) as
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: cvc-serve [--addr HOST:PORT] [--clients N] [--workers N] \
+        "usage: cvc-serve [--addr HOST:PORT] [--clients N] \
          [--seconds SECS] [--no-acks] [--capture] \
          [--admin-addr HOST:PORT] [--trace] [--trace-log-mb MB]"
     );
@@ -37,7 +37,6 @@ fn main() {
     let mut cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         n_clients: 64,
-        workers: 0,
         ..ServerConfig::default()
     };
     let mut seconds = 60u64;
@@ -49,12 +48,6 @@ fn main() {
             "--addr" => cfg.addr = it.next().unwrap_or_else(|| usage()),
             "--clients" => {
                 cfg.n_clients = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--workers" => {
-                cfg.workers = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());

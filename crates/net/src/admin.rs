@@ -20,16 +20,16 @@
 //!
 //! ## Isolation
 //!
-//! The admin tier never touches the hot path. The core thread *pushes*
+//! The admin tier never touches the hot path. The serving loop *pushes*
 //! into [`AdminShared`] on its own publish cadence — a registry delta
 //! under one mutex, fresh ring-dump lines under another — and the admin
 //! thread serves scrapes from those copies. A slow or hostile scraper
 //! can therefore stall only itself: the core's publish is a bounded
 //! `lock / append / unlock`, and the mutexes are never held across I/O.
 //!
-//! Readiness is `accept thread alive ∧ core thread alive ∧ io_errors
-//! unchanged since the previous probe` — the third clause turns the
-//! "silently degraded" counter into a probe-visible signal.
+//! Readiness is `serving loop (cvc-core) alive ∧ io_errors unchanged
+//! since the previous probe` — the second clause turns the "silently
+//! degraded" counter into a probe-visible signal.
 
 use crate::conn::Conn;
 use crate::frame::{write_frame, FrameReader};
@@ -63,16 +63,14 @@ const MAX_HTTP_HEAD: usize = 8 * 1024;
 pub(crate) const RING_LOG_CAP: usize = 32 << 20;
 
 /// What the core publishes and the admin thread serves. Every field is
-/// written by exactly one producer (core thread or probe path) and read
+/// written by exactly one producer (serving loop or probe path) and read
 /// under short, I/O-free critical sections.
 pub(crate) struct AdminShared {
     /// Registry snapshots + retained deltas (core publishes, scrapers read).
     pub(crate) deltas: Mutex<DeltaTracker>,
     /// Append-only ring-dump text log (core appends, tailers read).
     pub(crate) rings: Mutex<RingLog>,
-    /// Cleared by [`AliveGuard`] when the accept thread exits.
-    pub(crate) accept_alive: AtomicBool,
-    /// Cleared by [`AliveGuard`] when the core thread exits.
+    /// Cleared by [`AliveGuard`] when the serving loop exits.
     pub(crate) core_alive: AtomicBool,
     /// `io_errors` as of the previous readiness probe.
     pub(crate) last_probe_io_errors: AtomicU64,
@@ -84,7 +82,6 @@ impl AdminShared {
         AdminShared {
             deltas: Mutex::new(DeltaTracker::new()),
             rings: Mutex::new(RingLog::new(ring_cap)),
-            accept_alive: AtomicBool::new(true),
             core_alive: AtomicBool::new(true),
             last_probe_io_errors: AtomicU64::new(0),
             started: Instant::now(),
@@ -96,46 +93,32 @@ impl AdminShared {
     }
 }
 
-/// Which liveness flag an [`AliveGuard`] owns.
-pub(crate) enum Tier {
-    Accept,
-    Core,
-}
-
-/// Drop-guard held by the accept and core threads: clears its liveness
-/// flag on *any* exit path, including a panic unwinding the thread, so
-/// readiness cannot keep reporting a dead tier as healthy.
+/// Drop-guard held by the serving loop's thread: clears `core_alive` on
+/// *any* exit path, including a panic unwinding the thread, so readiness
+/// cannot keep reporting a dead loop as healthy.
 pub(crate) struct AliveGuard {
     shared: Arc<AdminShared>,
-    tier: Tier,
 }
 
 impl AliveGuard {
-    pub(crate) fn new(shared: Arc<AdminShared>, tier: Tier) -> AliveGuard {
-        AliveGuard { shared, tier }
+    pub(crate) fn new(shared: Arc<AdminShared>) -> AliveGuard {
+        AliveGuard { shared }
     }
 }
 
 impl Drop for AliveGuard {
     fn drop(&mut self) {
-        let flag = match self.tier {
-            Tier::Accept => &self.shared.accept_alive,
-            Tier::Core => &self.shared.core_alive,
-        };
-        flag.store(false, Ordering::SeqCst);
+        self.shared.core_alive.store(false, Ordering::SeqCst);
     }
 }
 
-/// Ready iff both tiers are alive and no I/O-tier thread died since the
-/// previous probe. Each call consumes the `io_errors` delta: a burst of
+/// Ready iff the serving loop is alive and no serving thread died since
+/// the previous probe. Each call consumes the `io_errors` delta: a burst of
 /// abnormal exits flips exactly the next probe, after which a stable
 /// (if smaller) server reads ready again.
 pub(crate) fn readiness(shared: &AdminShared, stats: &IoStats) -> Result<(), &'static str> {
     let cur = stats.io_errors.load(Ordering::Relaxed);
     let prev = shared.last_probe_io_errors.swap(cur, Ordering::Relaxed);
-    if !shared.accept_alive.load(Ordering::SeqCst) {
-        return Err("accept thread dead");
-    }
     if !shared.core_alive.load(Ordering::SeqCst) {
         return Err("core thread dead");
     }
@@ -609,10 +592,9 @@ fn snapshot_json(shared: &AdminShared) -> String {
 fn prometheus_text(shared: &AdminShared) -> String {
     let (seq, registry) = lock(&shared.deltas).snapshot();
     let mut out = registry.to_prometheus();
-    // The ready gauge reads the liveness flags only: a scrape must not
+    // The ready gauge reads the liveness flag only: a scrape must not
     // consume the readiness probe's io_errors delta.
-    let alive =
-        shared.accept_alive.load(Ordering::SeqCst) && shared.core_alive.load(Ordering::SeqCst);
+    let alive = shared.core_alive.load(Ordering::SeqCst);
     out.push_str("# TYPE cvc_admin_snapshot_seq gauge\n");
     out.push_str(&format!("cvc_admin_snapshot_seq {seq}\n"));
     out.push_str("# TYPE cvc_admin_uptime_seconds gauge\n");
@@ -860,7 +842,7 @@ mod tests {
             String::from_utf8_lossy(&http_response("GET /readyz HTTP/1.0", &shared, &stats))
                 .into_owned();
         assert!(ready.starts_with("HTTP/1.0 200"));
-        shared.accept_alive.store(false, Ordering::SeqCst);
+        shared.core_alive.store(false, Ordering::SeqCst);
         let unready =
             String::from_utf8_lossy(&http_response("GET /readyz HTTP/1.0", &shared, &stats))
                 .into_owned();
@@ -887,7 +869,6 @@ mod tests {
     fn admin_server() -> crate::server::ServerHandle {
         let cfg = crate::server::ServerConfig {
             n_clients: 2,
-            workers: 1,
             admin_addr: Some("127.0.0.1:0".to_string()),
             trace_rings: true,
             ..crate::server::ServerConfig::default()

@@ -3,7 +3,7 @@
 //! write side that survives partial writes.
 //!
 //! A connection is driven entirely by readiness callbacks: the owning
-//! worker calls [`Conn::on_readable`] / [`Conn::flush`] when its poller
+//! loop calls [`Conn::on_readable`] / [`Conn::flush`] when its poller
 //! says so, and consults [`Conn::wants_write`] to decide the registration
 //! interest. Nothing here blocks, allocates per byte, or trusts the peer.
 
@@ -43,12 +43,12 @@ impl From<FrameError> for ConnError {
 }
 
 /// A peer that lets this many bytes pile up is gone or hostile; shedding
-/// it protects the worker's memory (slow-consumer eviction).
+/// it protects the server's memory (slow-consumer eviction).
 const MAX_PENDING_OUT: usize = 8 << 20;
 
 /// Most bytes one readable event may drain from a socket. Without a cap,
 /// a firehose peer keeps `read` returning data and monopolizes its
-/// worker, starving the shard's other connections; with one, the poller's
+/// loop, starving the other connections; with one, the poller's
 /// level-triggering re-arms the connection on the next tick, so nothing
 /// is lost — the drain just interleaves fairly.
 const MAX_READ_PER_EVENT: usize = 256 * 1024;
@@ -85,10 +85,13 @@ impl Conn {
     }
 
     /// Drain the socket and append every completed frame payload to
-    /// `frames`. Returns when the socket would block or the per-event
-    /// byte budget ([`MAX_READ_PER_EVENT`]) is spent — level-triggered
-    /// polling redelivers the event, so a capped return is a fairness
-    /// yield, not data loss. Errors are fatal to the connection.
+    /// `frames`. Returns after a short read (the socket held less than
+    /// the buffer), when the socket would block, or when the per-event
+    /// byte budget ([`MAX_READ_PER_EVENT`]) is spent. Level-triggered
+    /// polling redelivers the event for anything left, so an early
+    /// return is never data loss, and a short read saves the extra
+    /// `read` that would only report `EAGAIN`. Errors are fatal to the
+    /// connection.
     pub fn on_readable(&mut self, frames: &mut Vec<Vec<u8>>) -> Result<(), ConnError> {
         let mut chunk = [0u8; 16 * 1024];
         let mut consumed = 0usize;
@@ -105,7 +108,7 @@ impl Conn {
                         frames.push(payload);
                     }
                     consumed += n;
-                    if consumed >= MAX_READ_PER_EVENT {
+                    if n < chunk.len() || consumed >= MAX_READ_PER_EVENT {
                         return Ok(());
                     }
                 }
@@ -152,7 +155,7 @@ impl Conn {
         Ok(())
     }
 
-    /// True while unsent output remains (the worker should register write
+    /// True while unsent output remains (the owner should register write
     /// interest and flush again on writable).
     pub fn wants_write(&self) -> bool {
         self.out_start < self.out.len()

@@ -17,11 +17,10 @@
 //! * [`conn`] — the per-connection state machine: a nonblocking stream,
 //!   a reassembly buffer, and a pending-write buffer that survives
 //!   partial writes under backpressure.
-//! * [`server`] — `cvc-serve`'s engine: an accept thread feeding
-//!   thread-per-core shard workers (each with its own poller), and a core
-//!   thread hosting the editor brain — `Notifier` + WAL with the
-//!   append-before-broadcast discipline and compound-frame coalescing at
-//!   the socket write path.
+//! * [`server`] — `cvc-serve`'s engine: one epoll loop thread owning
+//!   the listener, every connection, and the editor brain — `Notifier` +
+//!   WAL with the validate → append → broadcast order — plus
+//!   compound-frame coalescing at the socket write path.
 //! * [`load`] — `cvc-load`'s engine: an open-loop generator driving tens
 //!   of thousands of concurrent loopback clients at a configured global
 //!   op rate, with ack-RTT latency histograms through the existing

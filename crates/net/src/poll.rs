@@ -4,7 +4,7 @@
 //! The vendored-deps constraint leaves no `libc`/`mio` crate to lean on,
 //! and none is needed: four syscalls (`epoll_create1`, `epoll_ctl`,
 //! `epoll_wait`, `eventfd`) cover the whole readiness model. Everything
-//! here is level-triggered — a worker that cannot drain a socket in one
+//! here is level-triggered — a loop that cannot drain a socket in one
 //! pass simply hears about it again — which keeps the connection state
 //! machine re-entrant and simple.
 
@@ -182,9 +182,9 @@ impl Drop for Poller {
     }
 }
 
-/// A cross-thread wake-up line: an `eventfd` registered in a worker's
-/// poller. Any thread holding the waker can nudge the worker out of
-/// `epoll_wait`; the worker drains it and checks its queues.
+/// A cross-thread wake-up line: an `eventfd` registered in a loop's
+/// poller. Any thread holding the waker can nudge the loop out of
+/// `epoll_wait`; the loop drains it and checks its stop flag.
 #[derive(Debug)]
 pub struct Waker {
     fd: RawFd,
@@ -211,7 +211,7 @@ impl Waker {
     }
 
     /// Nudge the owning poller. Saturation (EAGAIN on a full counter) is
-    /// success: the worker is already due to wake.
+    /// success: the loop is already due to wake.
     pub fn wake(&self) {
         let one: u64 = 1;
         // SAFETY: writing 8 bytes from a valid u64; return value may be
@@ -220,7 +220,7 @@ impl Waker {
         unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
     }
 
-    /// Reset the wake counter (called by the worker after waking).
+    /// Reset the wake counter (called by the loop after waking).
     pub fn drain(&self) {
         let mut buf = 0u64;
         // SAFETY: reading 8 bytes into a valid u64; EAGAIN means the

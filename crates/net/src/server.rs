@@ -3,23 +3,35 @@
 //! ## Architecture
 //!
 //! ```text
-//!            accept thread ──round robin──►  shard workers (thread per core)
-//!                                             │  epoll loop, Conn state machines
-//!                 frames in (mpsc)  ◄─────────┤  frame reassembly + decode
-//!                      │                      ▲
-//!                      ▼                      │ outbox (Mutex<VecDeque> + eventfd waker)
-//!            core thread: Notifier + WAL ─────┘ per-destination payloads,
-//!            append-before-broadcast            coalesced into compound frames
+//!   clients ══TCP══►  cvc-core: one epoll loop owning the listener,
+//!                     every Conn, the Notifier and its WAL
+//!
+//!   per readable connection:  read → decode → validate + integrate
+//!                             → WAL append → per-destination queues
+//!                               (the origin's ServerAck first)
+//!   per destination queue:    compound_max payloads → write now
+//!   end of each epoll batch:  every other queue → one compound frame
 //! ```
 //!
-//! The I/O tier never touches editor state and the core never touches a
-//! socket: workers own reads, reassembly, decode, and writes; the single
-//! core thread owns the `Notifier` and its WAL, preserving the exact
-//! integration semantics (and total order) the simulator validates. TCP
-//! supplies the reliable-FIFO channel the paper assumes, so the sim's
+//! The notifier is the star's one serialization point: it puts every op
+//! into a single total order, so it lives on one thread by nature. The
+//! sockets live on that same thread, so an op crosses no thread hand-off
+//! between its read and the writes of its ack and broadcasts. Scale-out
+//! past one notifier is sharding (the federation relay tier), not more
+//! threads here.
+//!
+//! Writes never block the loop. A destination queue goes to its socket
+//! as soon as it holds a full compound frame; everything else goes out
+//! at the end of the `epoll_wait` batch, so fan-out still coalesces
+//! across connections. Bytes the kernel does not take arm EPOLLOUT, and a
+//! peer that lets its unsent bytes pass the connection's cap is shed
+//! (slow-consumer eviction).
+//!
+//! TCP supplies the reliable-FIFO channel the paper assumes, so the sim's
 //! go-back-N layer stays home; what crosses over is the framing
-//! discipline — fnv1a32-checksummed frames, compound coalescing on the
-//! write path, WAL append **before** broadcast.
+//! discipline (fnv1a32-checksummed frames, compound coalescing on the
+//! write path) and the sim's integration order: validate, then append
+//! to the WAL, then send. A rejected op never reaches the log.
 //!
 //! A connection binds to its site with a hello frame: a `ClientAck`
 //! carrying the site id and the client's ack frontier (`received: 0` for
@@ -29,15 +41,13 @@
 //! unparseable framing evict the connection (and quarantine the site for
 //! protocol violations, mirroring the sim's hostile-site policy).
 //!
-//! Workers address connections by a **generation-tagged id** (slab slot
-//! in the low 32 bits, a per-slot generation in the high 32). Slots are
-//! recycled, and the core learns of a close asynchronously — so a write
-//! command it queued for a dead connection can still be in flight when a
-//! new stream adopts the same slot. The generation check makes such
-//! commands die instead of reaching the unrelated new connection.
+//! Connections close synchronously on the loop, and a connection's
+//! queued payloads live and die with its slab slot, so nothing addressed
+//! to a closed connection can reach the stream that reuses its slot.
 
-use crate::admin::{spawn_admin, AdminHandle, AdminShared, AliveGuard, Tier, RING_LOG_CAP};
+use crate::admin::{spawn_admin, AdminHandle, AdminShared, AliveGuard, RING_LOG_CAP};
 use crate::conn::{Conn, ConnError};
+use crate::frame::MAX_FRAME_BYTES;
 use crate::poll::{Interest, PollEvent, Poller, Waker};
 use cvc_core::site::{SiteId, NOTIFIER};
 use cvc_reduce::msg::{compound_header, ClientAckMsg, ClientOpMsg, EditorMsg, Payload};
@@ -47,13 +57,12 @@ use cvc_reduce::registry::MetricsRegistry;
 use cvc_reduce::trace::dump_event_line;
 use cvc_reduce::wal::{Wal, WalRecord};
 use cvc_sim::wire::{WireDecode, WireEncode, WireError, WireSize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -65,8 +74,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Number of client sites (the notifier's width); sites `1..=n`.
     pub n_clients: usize,
-    /// Shard worker threads. 0 = one per available core.
-    pub workers: usize,
     /// WAL compaction cadence (records between checkpoint probes).
     pub wal_compact_every: u64,
     /// Acknowledge every integrated op to its origin (`ServerAck`) — what
@@ -97,45 +104,31 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             n_clients: 16,
-            workers: 0,
             wal_compact_every: 4096,
             send_acks: true,
             capture_integrations: false,
             compound_max: 32,
             admin_addr: None,
             trace_rings: false,
-            // Sized for a full 512-message core batch at burst-level
-            // transform fan-out; the per-batch drain empties it between
-            // batches, so this bounds single-batch loss, not total load.
+            // Sized for one burst read at transform-heavy fan-out; the
+            // mid-read drain every 32 messages empties it, so this bounds
+            // the loss inside one drain window, not total load.
             trace_ring_capacity: 1 << 18,
             ring_log_cap: RING_LOG_CAP,
         }
     }
 }
 
-/// Shared I/O-tier counters (workers increment, the report and the
-/// admin plane snapshot).
+/// Counters shared with the admin plane.
 #[derive(Debug, Default)]
 pub(crate) struct IoStats {
-    pub(crate) accepted: AtomicU64,
-    pub(crate) frames_in: AtomicU64,
-    pub(crate) msgs_in: AtomicU64,
-    pub(crate) frames_out: AtomicU64,
-    pub(crate) msgs_out: AtomicU64,
-    pub(crate) compound_frames_out: AtomicU64,
-    pub(crate) frame_errors: AtomicU64,
-    pub(crate) closed: AtomicU64,
-    /// Connections the core shed for protocol violations or backpressure.
-    pub(crate) evicted: AtomicU64,
-    /// Messages queued toward the core and not yet drained by it.
-    pub(crate) core_queue: AtomicU64,
-    /// Abnormal I/O-tier thread exits (a wedged accept loop or a worker
-    /// whose poller died). Nonzero means the server is silently degraded.
+    /// Abnormal serving-thread exits (the loop's or the admin plane's
+    /// poller failing). Nonzero means the server is silently degraded.
     pub(crate) io_errors: AtomicU64,
 }
 
 /// Everything the server learned, returned at shutdown.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServerReport {
     /// The notifier's final document.
     pub doc: String,
@@ -147,15 +140,14 @@ pub struct ServerReport {
     pub protocol_errors: u64,
     /// Connections whose byte stream failed framing or decode.
     pub frame_errors: u64,
-    /// I/O-tier threads that exited abnormally (accept loop or worker
-    /// poller failure). Nonzero distinguishes a wedged listener from an
-    /// idle one.
+    /// Serving threads whose poller failed. Nonzero distinguishes a
+    /// wedged server from an idle one.
     pub io_errors: u64,
     /// Connections accepted over the server's lifetime.
     pub accepted: u64,
     /// Frames read off sockets.
     pub frames_in: u64,
-    /// Editor messages decoded (compound sub-messages counted singly).
+    /// Frames decoded into editor messages (a compound counts once).
     pub msgs_in: u64,
     /// Frames written to sockets.
     pub frames_out: u64,
@@ -168,9 +160,10 @@ pub struct ServerReport {
     pub msgs_per_frame: Option<f64>,
     /// Connections still open at shutdown.
     pub active_connections: u64,
-    /// Connections the core shed (protocol violations, backpressure).
+    /// Connections shed for protocol violations or backpressure.
     pub evicted: u64,
-    /// Per-worker peak queued write commands (outbox depth high-water).
+    /// Peak payloads waiting in destination queues between flushes (one
+    /// entry: the loop is the only writer).
     pub outbox_high_water: Vec<u64>,
     /// Broadcasts dropped because the destination had no live connection.
     pub dropped_broadcasts: u64,
@@ -191,73 +184,15 @@ pub struct ServerReport {
 /// snapshot sync, not a replay.
 const MAX_PARKED_PER_SITE: usize = 1 << 16;
 
-/// Pack a worker-local connection identity: the slab slot in the low
-/// 32 bits, a per-slot generation in the high 32. The generation bumps on
-/// every close, so an id names one connection *incarnation*, never merely
-/// a slot.
-fn conn_id(slot: usize, gen: u32) -> u64 {
-    (u64::from(gen) << 32) | slot as u64
-}
+/// Poller tokens: the stop waker, the listener, then slab slot `i` as
+/// `FIRST_SLOT + i`.
+const WAKER: u64 = 0;
+const LISTENER: u64 = 1;
+const FIRST_SLOT: u64 = 2;
 
-/// Split a connection id back into `(slot, generation)`.
-fn conn_parts(id: u64) -> (usize, u32) {
-    ((id & 0xFFFF_FFFF) as usize, (id >> 32) as u32)
-}
-
-/// A command from the core to a worker's write side. `conn` is a
-/// generation-tagged id ([`conn_id`]); the worker drops commands whose
-/// generation no longer matches the slot's occupant.
-enum OutCmd {
-    /// Queue one editor-message payload for a connection.
-    Frame { conn: u64, payload: Payload },
-    /// Flush-and-close a connection (eviction or quarantine).
-    Close { conn: u64 },
-}
-
-/// What workers tell the core. `conn` is a generation-tagged id
-/// ([`conn_id`]).
-enum CoreMsg {
-    /// Decoded messages from one connection, in stream order.
-    Frames {
-        worker: usize,
-        conn: u64,
-        msgs: Vec<EditorMsg>,
-    },
-    /// A connection is gone (peer close, error, or eviction done).
-    Disconnected { worker: usize, conn: u64 },
-    /// Stop and produce the report.
-    Shutdown,
-}
-
-/// Per-worker mailboxes shared between threads.
-struct WorkerShared {
-    waker: Waker,
-    /// Freshly accepted streams awaiting registration.
-    inbox: Mutex<Vec<TcpStream>>,
-    /// Write-side commands from the core.
-    outbox: Mutex<VecDeque<OutCmd>>,
-    /// Connections this worker currently owns.
-    active_conns: AtomicU64,
-    /// Commands sitting in `outbox` right now / at peak.
-    outbox_depth: AtomicU64,
-    outbox_high_water: AtomicU64,
-    /// Peak unsent bytes observed on any one connection after a flush.
-    pending_out_high_water: AtomicU64,
-}
-
-impl WorkerShared {
-    fn new() -> io::Result<WorkerShared> {
-        Ok(WorkerShared {
-            waker: Waker::new()?,
-            inbox: Mutex::new(Vec::new()),
-            outbox: Mutex::new(VecDeque::new()),
-            active_conns: AtomicU64::new(0),
-            outbox_depth: AtomicU64::new(0),
-            outbox_high_water: AtomicU64::new(0),
-            pending_out_high_water: AtomicU64::new(0),
-        })
-    }
-}
+/// Publish cadence for the admin plane (registry delta + ring lines):
+/// the loop's `epoll_wait` timeout when an admin plane is configured.
+const PUBLISH_INTERVAL: Duration = Duration::from_millis(100);
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // A poisoned mutex means a peer thread died mid-update; the data is
@@ -275,11 +210,7 @@ pub struct EditorServer;
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_waker: Arc<Waker>,
-    workers: Vec<Arc<WorkerShared>>,
-    core_tx: mpsc::Sender<CoreMsg>,
-    accept_thread: Option<thread::JoinHandle<()>>,
-    worker_threads: Vec<thread::JoinHandle<()>>,
+    waker: Arc<Waker>,
     core_thread: Option<thread::JoinHandle<ServerReport>>,
     admin: Option<AdminHandle>,
 }
@@ -295,29 +226,19 @@ impl ServerHandle {
         self.admin.as_ref().map(|a| a.addr)
     }
 
-    /// Test hook: stop the core thread alone, leaving the I/O tier and
-    /// admin plane up — the readiness probe must flip to unready. A full
+    /// Test hook: stop the serving loop alone, leaving the admin plane
+    /// up — the readiness probe must flip to unready. A full
     /// [`ServerHandle::shutdown`] still joins cleanly afterwards.
     pub fn halt_core(&self) {
-        let _ = self.core_tx.send(CoreMsg::Shutdown);
+        self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
     }
 
-    /// Stop accepting, drain the tiers, and return the final report.
+    /// Stop the loop and return the final report.
     pub fn shutdown(mut self) -> ServerReport {
-        self.stop.store(true, Ordering::SeqCst);
-        self.accept_waker.wake();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for w in &self.workers {
-            w.waker.wake();
-        }
-        for t in self.worker_threads.drain(..) {
-            let _ = t.join();
-        }
-        let _ = self.core_tx.send(CoreMsg::Shutdown);
+        self.halt_core();
         let report = self.core_thread.take().map(|t| t.join());
-        // Stop the admin plane only after the core published its final
+        // Stop the admin plane only after the loop published its final
         // registry delta and eof-marked the ring log; the admin thread
         // lingers briefly so attached tailers can pull that last chunk.
         if let Some(a) = self.admin.take() {
@@ -325,60 +246,30 @@ impl ServerHandle {
             a.waker.wake();
             let _ = a.thread.join();
         }
+        // The loop never panics by construction; an empty report here
+        // means it was killed externally.
         match report {
             Some(Ok(r)) => r,
-            // The core thread never panics by construction; an empty
-            // report here means it was killed externally.
-            _ => ServerReport {
-                doc: String::new(),
-                doc_checksum: 0,
-                ops_integrated: 0,
-                protocol_errors: 0,
-                frame_errors: 0,
-                io_errors: 0,
-                accepted: 0,
-                frames_in: 0,
-                msgs_in: 0,
-                frames_out: 0,
-                msgs_out: 0,
-                compound_frames_out: 0,
-                msgs_per_frame: None,
-                active_connections: 0,
-                evicted: 0,
-                outbox_high_water: Vec::new(),
-                dropped_broadcasts: 0,
-                wal_appends: 0,
-                wal_amplification: 0.0,
-                wal_bytes: Vec::new(),
-                hb_high_water: 0,
-                integration_log: Vec::new(),
-            },
+            _ => ServerReport::default(),
         }
     }
 }
 
 impl EditorServer {
-    /// Bind, spawn the accept/worker/core threads, and return a handle.
+    /// Bind, spawn the serving loop (and the admin plane), and return a
+    /// handle.
     pub fn spawn(cfg: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-
-        let n_workers = if cfg.workers == 0 {
-            thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            cfg.workers
-        };
+        let poller = Poller::new()?;
+        let waker = Arc::new(Waker::new()?);
+        poller.register(waker.fd(), WAKER, Interest::READ)?;
+        poller.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(IoStats::default());
-        let (core_tx, core_rx) = mpsc::channel::<CoreMsg>();
 
-        let mut workers = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
-            workers.push(Arc::new(WorkerShared::new()?));
-        }
-
-        // The admin plane binds before any serving thread spawns: a bad
+        // The admin plane binds before the loop spawns: a bad
         // --admin-addr fails the whole spawn instead of degrading silently.
         let admin_shared = cfg
             .admin_addr
@@ -391,107 +282,302 @@ impl EditorServer {
             _ => None,
         };
 
-        let accept_waker = Arc::new(Waker::new()?);
-        let accept_thread = {
-            let stop = Arc::clone(&stop);
-            let workers: Vec<Arc<WorkerShared>> = workers.clone();
-            let stats = Arc::clone(&stats);
-            let waker = Arc::clone(&accept_waker);
-            let guard = admin_shared
-                .as_ref()
-                .map(|s| AliveGuard::new(Arc::clone(s), Tier::Accept));
-            thread::Builder::new()
-                .name("cvc-accept".to_string())
-                .spawn(move || {
-                    let _alive = guard;
-                    accept_loop(listener, &workers, &stats, &stop, &waker);
-                })?
-        };
-
-        let mut worker_threads = Vec::with_capacity(n_workers);
-        for (wi, shared) in workers.iter().enumerate() {
-            let shared = Arc::clone(shared);
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            let tx = core_tx.clone();
-            let compound_max = cfg.compound_max.max(1);
-            worker_threads.push(
-                thread::Builder::new()
-                    .name(format!("cvc-worker-{wi}"))
-                    .spawn(move || worker_loop(wi, &shared, &stats, &stop, &tx, compound_max))?,
-            );
-        }
-
         let core_thread = {
-            let cfg = cfg.clone();
-            let workers: Vec<Arc<WorkerShared>> = workers.clone();
-            let stats = Arc::clone(&stats);
-            let admin_shared = admin_shared.clone();
+            let stop = Arc::clone(&stop);
+            let waker = Arc::clone(&waker);
             thread::Builder::new()
                 .name("cvc-core".to_string())
                 .spawn(move || {
-                    let guard = admin_shared
+                    let _alive = admin_shared
                         .as_ref()
-                        .map(|s| AliveGuard::new(Arc::clone(s), Tier::Core));
-                    let report = core_loop(&cfg, core_rx, &workers, &stats, admin_shared);
-                    drop(guard);
-                    report
+                        .map(|s| AliveGuard::new(Arc::clone(s)));
+                    // The notifier and WAL are built here, on the thread
+                    // that integrates: every allocation they make comes
+                    // from this thread's arena.
+                    Core::new(cfg, poller, listener, stats, admin_shared).run(&stop, &waker)
                 })?
         };
 
         Ok(ServerHandle {
             addr,
             stop,
-            accept_waker,
-            workers,
-            core_tx,
-            accept_thread: Some(accept_thread),
-            worker_threads,
+            waker,
             core_thread: Some(core_thread),
             admin,
         })
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    workers: &[Arc<WorkerShared>],
-    stats: &IoStats,
-    stop: &AtomicBool,
-    waker: &Waker,
-) {
-    if accept_inner(&listener, workers, stats, stop, waker).is_err() {
-        // A dead accept thread leaves the server silently refusing every
-        // new connection; the counter lets the report tell that apart
-        // from an idle listener.
-        stats.io_errors.fetch_add(1, Ordering::Relaxed);
+/// Decode one reassembled payload into exactly one editor message.
+fn decode_payload(p: &[u8]) -> Result<EditorMsg, WireError> {
+    let mut slice = p;
+    let m = EditorMsg::decode(&mut slice)?;
+    if let Some(&junk) = slice.first() {
+        // Trailing bytes after a complete message: the frame length lied
+        // about the message — a desync or an attack.
+        return Err(WireError::BadTag(junk));
     }
+    Ok(m)
 }
 
-fn accept_inner(
-    listener: &TcpListener,
-    workers: &[Arc<WorkerShared>],
-    stats: &IoStats,
-    stop: &AtomicBool,
-    waker: &Waker,
-) -> io::Result<()> {
-    let poller = Poller::new()?;
-    poller.register(waker.fd(), 0, Interest::READ)?;
-    poller.register(listener.as_raw_fd(), 1, Interest::READ)?;
-    let mut events: Vec<PollEvent> = Vec::new();
-    let mut next = 0usize;
-    while !stop.load(Ordering::SeqCst) {
-        events.clear();
-        poller.wait(&mut events, 500)?;
-        waker.drain();
+/// Payload wire size (both chunks), for the parked-bytes gauge.
+fn payload_len(p: &Payload) -> u64 {
+    let [head, body] = p.chunks();
+    (head.len() + body.len()) as u64
+}
+
+/// Socket-side counters, owned by the loop.
+#[derive(Debug, Default)]
+struct NetCounters {
+    accepted: u64,
+    frames_in: u64,
+    msgs_in: u64,
+    frames_out: u64,
+    msgs_out: u64,
+    compound_frames_out: u64,
+    frame_errors: u64,
+    closed: u64,
+    evicted: u64,
+    /// Payloads waiting in destination queues right now / at peak.
+    queued: u64,
+    queued_high_water: u64,
+    /// Peak unsent bytes left on any one connection after a write.
+    pending_out_high_water: u64,
+}
+
+/// Frame `queue` onto `conn` in groups of at most `max` payloads whose
+/// bytes fit one frame: a lone payload as a plain frame, a larger group
+/// as one compound frame (one header and checksum over the group — the
+/// §14 freight saving, applied at the socket boundary). The byte bound
+/// matters for large inserts: a reader rejects any frame past
+/// [`MAX_FRAME_BYTES`] as hostile.
+fn frame_queue(
+    conn: &mut Conn,
+    queue: &[Payload],
+    max: usize,
+    net: &mut NetCounters,
+) -> Result<(), ConnError> {
+    // Room for the compound tag and its count varint.
+    const HEADER_ROOM: u64 = 11;
+    let mut rest = queue;
+    while !rest.is_empty() {
+        let mut take = 1;
+        let mut bytes = HEADER_ROOM + payload_len(&rest[0]);
+        while take < rest.len().min(max) {
+            bytes += payload_len(&rest[take]);
+            if bytes > MAX_FRAME_BYTES {
+                break;
+            }
+            take += 1;
+        }
+        let (group, tail) = rest.split_at(take);
+        rest = tail;
+        net.frames_out += 1;
+        net.msgs_out += group.len() as u64;
+        if let [one] = group {
+            let [head, body] = one.chunks();
+            conn.queue_frame(&[head, body])?;
+        } else {
+            let header = compound_header(group.len());
+            let mut chunks: Vec<&[u8]> = Vec::with_capacity(1 + group.len() * 2);
+            chunks.push(&header);
+            for p in group {
+                chunks.extend(p.chunks());
+            }
+            net.compound_frames_out += 1;
+            conn.queue_frame(&chunks)?;
+        }
+    }
+    Ok(())
+}
+
+/// One accepted connection and what the loop knows about it.
+struct Slot {
+    conn: Conn,
+    /// The site its hello bound it to.
+    site: Option<SiteId>,
+    /// Payloads not yet framed onto `conn`.
+    queue: Vec<Payload>,
+    /// Registered for writability (unsent bytes remain).
+    write_armed: bool,
+}
+
+/// The serving loop's state: the editor brain (`Notifier` + WAL) and
+/// every socket it talks through.
+struct Core {
+    cfg: ServerConfig,
+    poller: Poller,
+    listener: TcpListener,
+    notifier: Notifier,
+    wal: Wal,
+    /// Connection slab; slot `i` is polled under token `FIRST_SLOT + i`.
+    slots: Vec<Option<Slot>>,
+    free: Vec<usize>,
+    /// Client index → the slot its site is bound to.
+    routes: Vec<Option<usize>>,
+    /// Slots whose queue gained payloads since the last flush.
+    dirty: Vec<usize>,
+    /// Reusable read buffer for reassembled frame payloads.
+    payloads: Vec<Vec<u8>>,
+    /// Broadcasts for sites that have not bound (yet): the notifier
+    /// integrates as soon as any client speaks, but a destination's
+    /// connection may still be in the accept queue. Its stream must start
+    /// at op 1 regardless, so payloads park here and flush, in order, the
+    /// moment the hello lands.
+    parked: Vec<VecDeque<Payload>>,
+    /// Bytes currently parked for not-yet-connected sites.
+    parked_bytes: u64,
+    dropped_broadcasts: u64,
+    integration_log: Vec<ClientOpMsg>,
+    ops_integrated: u64,
+    net: NetCounters,
+    stats: Arc<IoStats>,
+    /// The observability plane, when configured. The loop only ever
+    /// *pushes* here on its publish cadence; scrapes read the copies.
+    admin: Option<Arc<AdminShared>>,
+    /// Microsecond clock for recorder timestamps (elapsed since spawn).
+    now_us: u64,
+    /// The live registry image `publish` diffs against the admin plane.
+    live: MetricsRegistry,
+    /// Next unread notifier flight-recorder sequence.
+    recorder_cursor: u64,
+    /// Editor messages handled since the last ring drain.
+    since_drain: usize,
+    /// Synthesized client-side dump lines (Generate/Send at integration,
+    /// Execute from ack-frontier advancement) pending the next publish.
+    synth: String,
+    /// Per-client synthesized-event sequence numbers.
+    synth_seq: Vec<u64>,
+    /// Per-client acked stream position already emitted as synthetic
+    /// Execute lines; the live frontier is the notifier's `acked_by`.
+    ack_published: Vec<u64>,
+}
+
+impl Core {
+    fn new(
+        cfg: ServerConfig,
+        poller: Poller,
+        listener: TcpListener,
+        stats: Arc<IoStats>,
+        admin: Option<Arc<AdminShared>>,
+    ) -> Core {
+        let n = cfg.n_clients;
+        let mut notifier = Notifier::new(n, "");
+        notifier.set_send_acks(cfg.send_acks);
+        if cfg.trace_rings && admin.is_some() {
+            notifier.set_flight_recorder_capacity(cfg.trace_ring_capacity.max(1024));
+            notifier.set_flight_recorder(true);
+        }
+        Core {
+            wal: Wal::new(cfg.wal_compact_every.max(1)),
+            cfg,
+            poller,
+            listener,
+            notifier,
+            slots: Vec::new(),
+            free: Vec::new(),
+            routes: vec![None; n],
+            dirty: Vec::new(),
+            payloads: Vec::new(),
+            parked: vec![VecDeque::new(); n],
+            parked_bytes: 0,
+            dropped_broadcasts: 0,
+            integration_log: Vec::new(),
+            ops_integrated: 0,
+            net: NetCounters::default(),
+            stats,
+            admin,
+            now_us: 0,
+            live: MetricsRegistry::new(),
+            recorder_cursor: 0,
+            since_drain: 0,
+            synth: String::new(),
+            synth_seq: vec![0; n],
+            ack_published: vec![0; n],
+        }
+    }
+
+    /// Serve until `stop`, then produce the report.
+    fn run(mut self, stop: &AtomicBool, waker: &Waker) -> ServerReport {
+        let started = Instant::now();
+        let mut events: Vec<PollEvent> = Vec::new();
+        let mut next_publish = started + PUBLISH_INTERVAL;
+        while !stop.load(Ordering::SeqCst) {
+            // With an admin plane the wait carries a deadline so the
+            // publish cadence holds even while the editor port is idle.
+            let timeout = match self.admin {
+                Some(_) => next_publish
+                    .saturating_duration_since(Instant::now())
+                    .as_millis()
+                    .min(i32::MAX as u128) as i32,
+                None => -1,
+            };
+            events.clear();
+            if self.poller.wait(&mut events, timeout).is_err() {
+                self.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                break;
+            }
+            self.now_us = started.elapsed().as_micros() as u64;
+            self.notifier.set_now(self.now_us);
+            let mut accept = false;
+            for ev in &events {
+                match ev.token {
+                    WAKER => waker.drain(),
+                    // Accepting after the batch keeps every slot a stale
+                    // event of this batch names free of a new occupant.
+                    LISTENER => accept = true,
+                    t => self.on_event((t - FIRST_SLOT) as usize, ev),
+                }
+            }
+            self.flush_dirty();
+            if accept {
+                self.accept();
+            }
+            // Ring drain is per batch, not per cadence: a concurrency
+            // burst can outrun the recorder ring inside one publish
+            // interval, and lines lost to overwrite are lost for good.
+            if self.tracing() {
+                self.drain_rings(false);
+            }
+            if self.admin.is_some() && Instant::now() >= next_publish {
+                self.publish(false);
+                next_publish = Instant::now() + PUBLISH_INTERVAL;
+            }
+        }
+        // The final publish eof-marks the ring log so an attached tailer
+        // knows the stream is complete.
+        self.now_us = started.elapsed().as_micros() as u64;
+        self.publish(true);
+        self.report()
+    }
+
+    fn accept(&mut self) {
         loop {
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _)) => {
-                    stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    let w = &workers[next % workers.len()];
-                    next = next.wrapping_add(1);
-                    lock(&w.inbox).push(stream);
-                    w.waker.wake();
+                    self.net.accepted += 1;
+                    let Ok(conn) = Conn::new(stream) else {
+                        continue;
+                    };
+                    let slot = self.free.pop().unwrap_or_else(|| {
+                        self.slots.push(None);
+                        self.slots.len() - 1
+                    });
+                    let token = FIRST_SLOT + slot as u64;
+                    if self
+                        .poller
+                        .register(conn.fd(), token, Interest::READ)
+                        .is_ok()
+                    {
+                        self.slots[slot] = Some(Slot {
+                            conn,
+                            site: None,
+                            queue: Vec::new(),
+                            write_armed: false,
+                        });
+                    } else {
+                        self.free.push(slot);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -501,324 +587,210 @@ fn accept_inner(
             }
         }
     }
-    Ok(())
-}
 
-/// Decode every reassembled payload into exactly one editor message.
-fn decode_frames(payloads: &[Vec<u8>]) -> Result<Vec<EditorMsg>, WireError> {
-    let mut msgs = Vec::with_capacity(payloads.len());
-    for p in payloads {
-        let mut slice: &[u8] = p;
-        let m = EditorMsg::decode(&mut slice)?;
-        if let Some(&junk) = slice.first() {
-            // Trailing bytes after a complete message: the frame length
-            // lied about the message — a desync or an attack.
-            return Err(WireError::BadTag(junk));
-        }
-        msgs.push(m);
+    fn slot_mut(&mut self, slot: usize) -> Option<&mut Slot> {
+        self.slots.get_mut(slot).and_then(Option::as_mut)
     }
-    Ok(msgs)
-}
 
-fn worker_loop(
-    wi: usize,
-    shared: &WorkerShared,
-    stats: &IoStats,
-    stop: &AtomicBool,
-    tx: &mpsc::Sender<CoreMsg>,
-    compound_max: usize,
-) {
-    if worker_inner(wi, shared, stats, stop, tx, compound_max).is_err() {
-        // This shard's connections are orphaned; surface the degradation.
-        stats.io_errors.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn worker_inner(
-    wi: usize,
-    shared: &WorkerShared,
-    stats: &IoStats,
-    stop: &AtomicBool,
-    tx: &mpsc::Sender<CoreMsg>,
-    compound_max: usize,
-) -> io::Result<()> {
-    let poller = Poller::new()?;
-    poller.register(shared.waker.fd(), 0, Interest::READ)?;
-    // Slab of connections; epoll token = slot + 1 (token 0 is the waker).
-    // `gens[slot]` is the slot's current generation — together they form
-    // the connection id the core addresses ([`conn_id`]).
-    let mut conns: Vec<Option<Conn>> = Vec::new();
-    let mut gens: Vec<u32> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut events: Vec<PollEvent> = Vec::new();
-
-    let close_slot = |poller: &Poller,
-                      conns: &mut Vec<Option<Conn>>,
-                      gens: &mut [u32],
-                      free: &mut Vec<usize>,
-                      slot: usize| {
-        if let Some(conn) = conns.get_mut(slot).and_then(Option::take) {
-            let _ = poller.deregister(conn.fd());
-            stats.core_queue.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(CoreMsg::Disconnected {
-                worker: wi,
-                conn: conn_id(slot, gens[slot]),
-            });
-            shared.active_conns.fetch_sub(1, Ordering::Relaxed);
-            // Retire the identity *before* the slot becomes reusable:
-            // commands the core already queued for this connection now
-            // fail the generation check instead of reaching the slot's
-            // next occupant.
-            gens[slot] = gens[slot].wrapping_add(1);
-            free.push(slot);
-            stats.closed.fetch_add(1, Ordering::Relaxed);
+    fn on_event(&mut self, slot: usize, ev: &PollEvent) {
+        if ev.readable || ev.hangup {
+            self.on_readable(slot);
         }
-    };
-
-    while !stop.load(Ordering::SeqCst) {
-        events.clear();
-        poller.wait(&mut events, 500)?;
-
-        for ev in &events {
-            if ev.token == 0 {
-                shared.waker.drain();
-                continue;
-            }
-            let slot = (ev.token - 1) as usize;
-            let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
-                continue;
+        if ev.writable {
+            let flushed = match self.slot_mut(slot) {
+                Some(s) => s.conn.flush(),
+                None => return,
             };
-            let mut dead = false;
-            if ev.readable || ev.hangup {
-                let mut payloads = Vec::new();
-                let res = conn.on_readable(&mut payloads);
-                if !payloads.is_empty() {
-                    stats
-                        .frames_in
-                        .fetch_add(payloads.len() as u64, Ordering::Relaxed);
-                    match decode_frames(&payloads) {
-                        Ok(msgs) => {
-                            stats
-                                .msgs_in
-                                .fetch_add(msgs.len() as u64, Ordering::Relaxed);
-                            stats.core_queue.fetch_add(1, Ordering::Relaxed);
-                            let _ = tx.send(CoreMsg::Frames {
-                                worker: wi,
-                                conn: conn_id(slot, gens[slot]),
-                                msgs,
-                            });
-                        }
-                        Err(_) => {
-                            stats.frame_errors.fetch_add(1, Ordering::Relaxed);
-                            dead = true;
-                        }
-                    }
-                }
-                match res {
-                    Ok(()) => {}
-                    Err(ConnError::Frame(_)) => {
-                        stats.frame_errors.fetch_add(1, Ordering::Relaxed);
-                        dead = true;
-                    }
-                    Err(_) => dead = true,
-                }
-            }
-            if !dead && ev.writable {
-                dead = conn.flush().is_err()
-                    || (!conn.wants_write()
-                        && poller.modify(conn.fd(), ev.token, Interest::READ).is_err());
-            }
-            if dead || (ev.hangup && !ev.readable) {
-                close_slot(&poller, &mut conns, &mut gens, &mut free, slot);
+            if let Err(e) = flushed.and_then(|()| self.rearm(slot)) {
+                self.shed(slot, &e);
             }
         }
-
-        // Adopt freshly accepted connections.
-        let fresh: Vec<TcpStream> = std::mem::take(&mut *lock(&shared.inbox));
-        for stream in fresh {
-            let Ok(conn) = Conn::new(stream) else {
-                continue;
-            };
-            let slot = free.pop().unwrap_or_else(|| {
-                conns.push(None);
-                gens.push(0);
-                conns.len() - 1
-            });
-            let token = slot as u64 + 1;
-            if poller.register(conn.fd(), token, Interest::READ).is_ok() {
-                conns[slot] = Some(conn);
-                shared.active_conns.fetch_add(1, Ordering::Relaxed);
-            } else {
-                free.push(slot);
-            }
-        }
-
-        // Drain the core's write commands, coalescing per connection.
-        let cmds: VecDeque<OutCmd> = std::mem::take(&mut *lock(&shared.outbox));
-        shared.outbox_depth.store(0, Ordering::Relaxed);
-        if cmds.is_empty() {
-            continue;
-        }
-        let mut batches: HashMap<u64, Vec<Payload>> = HashMap::new();
-        let mut order: Vec<u64> = Vec::new();
-        let mut closes: Vec<u64> = Vec::new();
-        for cmd in cmds {
-            match cmd {
-                OutCmd::Frame { conn, payload } => {
-                    batches.entry(conn).or_insert_with(|| {
-                        order.push(conn);
-                        Vec::new()
-                    });
-                    if let Some(b) = batches.get_mut(&conn) {
-                        b.push(payload);
-                    }
-                }
-                OutCmd::Close { conn } => closes.push(conn),
-            }
-        }
-        for id in order {
-            let (slot, gen) = conn_parts(id);
-            // A stale generation means the addressed connection closed
-            // after the core queued this; the slot may already hold an
-            // unrelated stream, so the batch must be dropped, not
-            // delivered.
-            if gens.get(slot).copied() != Some(gen) {
-                continue;
-            }
-            let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
-                continue;
-            };
-            let Some(batch) = batches.remove(&id) else {
-                continue;
-            };
-            let mut failed = false;
-            for group in batch.chunks(compound_max) {
-                let res = if group.len() == 1 {
-                    let [head, body] = group[0].chunks();
-                    conn.queue_frame(&[head, body])
-                } else {
-                    // Compound coalescing: one frame header + checksum
-                    // over the whole group — the PR 6 freight saving,
-                    // applied at the socket boundary.
-                    let header = compound_header(group.len());
-                    let mut chunks: Vec<&[u8]> = Vec::with_capacity(1 + group.len() * 2);
-                    chunks.push(&header);
-                    for p in group {
-                        let [head, body] = p.chunks();
-                        chunks.push(head);
-                        chunks.push(body);
-                    }
-                    stats.compound_frames_out.fetch_add(1, Ordering::Relaxed);
-                    conn.queue_frame(&chunks)
-                };
-                stats.frames_out.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .msgs_out
-                    .fetch_add(group.len() as u64, Ordering::Relaxed);
-                if res.is_err() {
-                    failed = true;
-                    break;
-                }
-            }
-            if !failed && conn.flush().is_err() {
-                failed = true;
-            }
-            if failed {
-                close_slot(&poller, &mut conns, &mut gens, &mut free, slot);
-                continue;
-            }
-            shared
-                .pending_out_high_water
-                .fetch_max(conn.pending_out() as u64, Ordering::Relaxed);
-            if conn.wants_write() {
-                let _ = poller.modify(conn.fd(), slot as u64 + 1, Interest::READ_WRITE);
-            }
-        }
-        for id in closes {
-            let (slot, gen) = conn_parts(id);
-            // Same staleness rule: never close a successor connection on
-            // behalf of its slot's previous occupant.
-            if gens.get(slot).copied() != Some(gen) {
-                continue;
-            }
-            // Best-effort final flush so eviction notices drain.
-            if let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) {
-                let _ = conn.flush();
-            }
-            close_slot(&poller, &mut conns, &mut gens, &mut free, slot);
+        if ev.hangup && !ev.readable {
+            self.close(slot);
         }
     }
-    Ok(())
-}
 
-/// The editor brain: single-threaded `Notifier` + WAL, fed decoded
-/// messages, emitting per-destination payloads to worker outboxes.
-struct Core<'a> {
-    cfg: &'a ServerConfig,
-    workers: &'a [Arc<WorkerShared>],
-    notifier: Notifier,
-    wal: Wal,
-    /// (worker, conn) → bound site.
-    bound: HashMap<(usize, u64), SiteId>,
-    /// client index → (worker, conn) route.
-    routes: Vec<Option<(usize, u64)>>,
-    /// Broadcasts for sites that have not bound (yet): the notifier
-    /// integrates as soon as any client speaks, but a destination's
-    /// connection may still be in the accept queue. Its stream must start
-    /// at op 1 regardless, so payloads park here and flush, in order, the
-    /// moment the hello lands.
-    parked: Vec<VecDeque<Payload>>,
-    /// Workers touched in the current drain (woken once at the end).
-    touched: Vec<bool>,
-    dropped_broadcasts: u64,
-    integration_log: Vec<ClientOpMsg>,
-    ops_integrated: u64,
-    stats: &'a IoStats,
-    /// The observability plane, when configured. The core only ever
-    /// *pushes* here on its publish cadence; scrapes read the copies.
-    admin: Option<Arc<AdminShared>>,
-    /// Microsecond clock for recorder timestamps (elapsed since spawn).
-    now_us: u64,
-    /// The live registry image `publish` diffs against the admin plane.
-    live: MetricsRegistry,
-    /// Next unread notifier flight-recorder sequence.
-    recorder_cursor: u64,
-    /// Synthesized client-side dump lines (Generate/Send at integration,
-    /// Execute from ack-frontier advancement) pending the next publish.
-    synth: String,
-    /// Per-client synthesized-event sequence numbers.
-    synth_seq: Vec<u64>,
-    /// Per-client acked stream position already emitted as synthetic
-    /// Execute lines; the live frontier is the notifier's `acked_by`.
-    ack_published: Vec<u64>,
-    /// Bytes currently parked for not-yet-connected sites.
-    parked_bytes: u64,
-}
-
-/// Payload wire size (both chunks), for the parked-bytes gauge.
-fn payload_len(p: &Payload) -> u64 {
-    let [head, body] = p.chunks();
-    (head.len() + body.len()) as u64
-}
-
-impl<'a> Core<'a> {
-    fn push(&mut self, worker: usize, cmd: OutCmd) {
-        let w = &self.workers[worker];
-        let depth = {
-            let mut q = lock(&w.outbox);
-            q.push_back(cmd);
-            q.len() as u64
+    /// Read what the socket holds and handle every complete frame in
+    /// stream order.
+    fn on_readable(&mut self, slot: usize) {
+        let mut payloads = std::mem::take(&mut self.payloads);
+        payloads.clear();
+        let res = match self.slot_mut(slot) {
+            Some(s) => s.conn.on_readable(&mut payloads),
+            None => return,
         };
-        w.outbox_depth.store(depth, Ordering::Relaxed);
-        w.outbox_high_water.fetch_max(depth, Ordering::Relaxed);
-        self.touched[worker] = true;
+        self.net.frames_in += payloads.len() as u64;
+        for p in &payloads {
+            match decode_payload(p) {
+                Ok(msg) => {
+                    self.net.msgs_in += 1;
+                    self.on_msg(slot, msg);
+                    // Mid-read ring drain: transform recording is O(|HB|)
+                    // per op, and one read can carry thousands of ops, so
+                    // every 32 messages bounds recorder-ring growth far
+                    // below its capacity.
+                    self.since_drain += 1;
+                    if self.since_drain >= 32 && self.tracing() {
+                        self.drain_rings(false);
+                    }
+                }
+                Err(_) => {
+                    self.net.frame_errors += 1;
+                    self.close(slot);
+                }
+            }
+            if self.slot_mut(slot).is_none() {
+                break;
+            }
+        }
+        self.payloads = payloads;
+        if let Err(e) = res {
+            if self.slot_mut(slot).is_some() {
+                if matches!(e, ConnError::Frame(_)) {
+                    self.net.frame_errors += 1;
+                }
+                self.close(slot);
+            }
+        }
+    }
+
+    /// Handle one decoded message from the connection in `slot`.
+    fn on_msg(&mut self, slot: usize, msg: EditorMsg) {
+        match msg {
+            EditorMsg::ClientAck(a) => self.on_client_ack(slot, a),
+            EditorMsg::ClientOp(op) => self.on_client_op(slot, op),
+            EditorMsg::Compound(ms) => {
+                for m in ms {
+                    // Nesting is impossible (the codec rejects it), so
+                    // this recursion is depth-1.
+                    self.on_msg(slot, m);
+                    if self.slot_mut(slot).is_none() {
+                        return;
+                    }
+                }
+            }
+            // Downstream-only and federation frame types arriving on a
+            // client edge are hostile input: evict the connection.
+            EditorMsg::ServerOp(_)
+            | EditorMsg::ServerAck(_)
+            | EditorMsg::MeshOp(_)
+            | EditorMsg::RelayOp(_)
+            | EditorMsg::RelayAck(_) => self.evict(slot),
+        }
+    }
+
+    fn on_client_ack(&mut self, slot: usize, a: ClientAckMsg) {
+        let Some(bound) = self.slot_mut(slot).map(|s| s.site) else {
+            return;
+        };
+        if let Some(site) = bound {
+            if site != a.origin {
+                self.notifier.quarantine(a.origin);
+                self.evict(slot);
+                return;
+            }
+            // Validate before persisting: recovery replays WAL acks
+            // through this same fallible path, so a rejected ack must
+            // never land in the log.
+            if self.notifier.try_on_client_ack(a).is_err() {
+                self.notifier.quarantine(site);
+                self.evict(slot);
+                return;
+            }
+            self.wal.append(&WalRecord::Ack(a));
+            return;
+        }
+        // Hello: bind the connection to its site.
+        let idx = a.origin.client_index();
+        let valid = !a.origin.is_notifier()
+            && idx < self.cfg.n_clients
+            && self.routes.get(idx).is_some_and(Option::is_none);
+        if !valid {
+            self.evict(slot);
+            return;
+        }
+        // The hello's `received` is the client's real ack frontier — 0
+        // for a fresh client, its stream position on a reconnect. Apply
+        // it like any other ack so the notifier's history-buffer GC sees
+        // the frontier; an overrun claim is hostile and refuses the bind.
+        if self.notifier.try_on_client_ack(a).is_err() {
+            self.notifier.quarantine(a.origin);
+            self.evict(slot);
+            return;
+        }
+        self.wal.append(&WalRecord::Ack(a));
+        if let Some(s) = self.slot_mut(slot) {
+            s.site = Some(a.origin);
+        }
+        self.routes[idx] = Some(slot);
+        // Flush everything integrated while this site was still
+        // connecting — its stream must begin at op 1.
+        while self.slot_mut(slot).is_some() {
+            let Some(payload) = self.parked[idx].pop_front() else {
+                break;
+            };
+            self.parked_bytes = self.parked_bytes.saturating_sub(payload_len(&payload));
+            self.enqueue(slot, payload);
+        }
+    }
+
+    fn on_client_op(&mut self, slot: usize, op: ClientOpMsg) {
+        let Some(site) = self.slot_mut(slot).and_then(|s| s.site) else {
+            // An op before the hello: the peer skipped the handshake.
+            self.evict(slot);
+            return;
+        };
+        if site != op.origin {
+            self.notifier.quarantine(op.origin);
+            self.evict(slot);
+            return;
+        }
+        let seq = op.stamp.get(2);
+        // Validate, then log, then send — the sim's order. A rejected op
+        // never reaches the WAL, and the record is durable before any
+        // broadcast leaves.
+        let outcome = match self.notifier.try_on_client_op_outcome(op.clone()) {
+            Ok(outcome) => outcome,
+            Err(_) => {
+                // The notifier already counted the violation; hostile
+                // sites are quarantined and their connection evicted,
+                // the sim's policy verbatim.
+                self.notifier.quarantine(site);
+                self.evict(slot);
+                return;
+            }
+        };
+        self.ops_integrated += 1;
+        if self.cfg.capture_integrations {
+            self.integration_log.push(op.clone());
+        }
+        self.wal.append(&WalRecord::Op(op));
+        if self.tracing() {
+            // The server sees no client rings, but integration proves the
+            // op was generated and sent; synthesize those lines so
+            // attached tailers get full lifecycles. Timestamps collapse to
+            // arrival time.
+            self.synth_line(site, "generate", site.0, seq);
+            self.synth_line(site, "send", site.0, seq);
+        }
+        // The origin's ack goes first: it is what the author waits on.
+        if let Some((dest, ack)) = outcome.ack {
+            let msg = EditorMsg::ServerAck(ack);
+            let mut bytes = Vec::with_capacity(msg.wire_bytes());
+            msg.encode(&mut bytes);
+            self.send_to_site(dest, Payload::from_vec(bytes));
+        }
+        let frame = outcome.frame();
+        for &(dest, stamp) in &outcome.stamps {
+            self.send_to_site(dest, frame.payload_for(stamp));
+        }
+        self.wal.maybe_compact(&self.notifier);
     }
 
     fn send_to_site(&mut self, site: SiteId, payload: Payload) {
         let idx = site.client_index();
-        let route = self.routes.get(idx).copied().flatten();
-        match route {
-            Some((worker, conn)) => self.push(worker, OutCmd::Frame { conn, payload }),
+        match self.routes.get(idx).copied().flatten() {
+            Some(slot) => self.enqueue(slot, payload),
             None => {
                 let parked = &mut self.parked[idx];
                 if parked.len() < MAX_PARKED_PER_SITE {
@@ -831,146 +803,116 @@ impl<'a> Core<'a> {
         }
     }
 
-    fn evict(&mut self, worker: usize, conn: u64) {
-        if let Some(site) = self.bound.remove(&(worker, conn)) {
-            if let Some(r) = self.routes.get_mut(site.client_index()) {
-                *r = None;
-            }
-        }
-        self.stats.evicted.fetch_add(1, Ordering::Relaxed);
-        self.push(worker, OutCmd::Close { conn });
-    }
-
-    /// Handle one decoded message from a (worker, conn) stream.
-    fn on_msg(&mut self, worker: usize, conn: u64, msg: EditorMsg) {
-        match msg {
-            EditorMsg::ClientAck(a) => self.on_client_ack(worker, conn, a),
-            EditorMsg::ClientOp(op) => self.on_client_op(worker, conn, op),
-            EditorMsg::Compound(ms) => {
-                for m in ms {
-                    // Nesting is impossible (the codec rejects it), so
-                    // this recursion is depth-1.
-                    self.on_msg(worker, conn, m);
-                }
-            }
-            // Downstream-only and federation frame types arriving on a
-            // client edge are hostile input: evict the connection.
-            EditorMsg::ServerOp(_)
-            | EditorMsg::ServerAck(_)
-            | EditorMsg::MeshOp(_)
-            | EditorMsg::RelayOp(_)
-            | EditorMsg::RelayAck(_) => self.evict(worker, conn),
-        }
-    }
-
-    fn on_client_ack(&mut self, worker: usize, conn: u64, a: ClientAckMsg) {
-        let key = (worker, conn);
-        if let Some(&site) = self.bound.get(&key) {
-            if site != a.origin {
-                self.notifier.quarantine(a.origin);
-                self.evict(worker, conn);
-                return;
-            }
-            // Validate before persisting: recovery replays WAL acks
-            // through this same fallible path, so a rejected ack must
-            // never land in the log.
-            if self.notifier.try_on_client_ack(a).is_err() {
-                self.notifier.quarantine(site);
-                self.evict(worker, conn);
-                return;
-            }
-            self.wal.append(&WalRecord::Ack(a));
-            return;
-        }
-        // Hello: bind the connection to its site.
-        let idx = a.origin.client_index();
-        let valid = !a.origin.is_notifier()
-            && idx < self.cfg.n_clients
-            && self.routes.get(idx).is_some_and(Option::is_none);
-        if !valid {
-            self.evict(worker, conn);
-            return;
-        }
-        // The hello's `received` is the client's real ack frontier — 0
-        // for a fresh client, its stream position on a reconnect. Apply
-        // it like any other ack so the notifier's history-buffer GC sees
-        // the frontier; an overrun claim is hostile and refuses the bind.
-        if self.notifier.try_on_client_ack(a).is_err() {
-            self.notifier.quarantine(a.origin);
-            self.evict(worker, conn);
-            return;
-        }
-        self.wal.append(&WalRecord::Ack(a));
-        self.bound.insert(key, a.origin);
-        if let Some(r) = self.routes.get_mut(idx) {
-            *r = Some(key);
-        }
-        // Flush everything integrated while this site was still
-        // connecting — its stream must begin at op 1.
-        while let Some(payload) = self.parked[idx].pop_front() {
-            self.parked_bytes = self.parked_bytes.saturating_sub(payload_len(&payload));
-            self.push(worker, OutCmd::Frame { conn, payload });
-        }
-    }
-
-    fn on_client_op(&mut self, worker: usize, conn: u64, op: ClientOpMsg) {
-        let Some(&site) = self.bound.get(&(worker, conn)) else {
-            // An op before the hello: the peer skipped the handshake.
-            self.evict(worker, conn);
+    /// Queue one payload for the connection in `slot`; a queue that holds
+    /// a full compound frame goes to the socket at once.
+    fn enqueue(&mut self, slot: usize, payload: Payload) {
+        let max = self.cfg.compound_max.max(1);
+        let Some(s) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        if site != op.origin {
-            self.notifier.quarantine(op.origin);
-            self.evict(worker, conn);
-            return;
+        if s.queue.is_empty() {
+            self.dirty.push(slot);
         }
-        // Durability before visibility: the WAL record lands before any
-        // broadcast leaves — the discipline the crash chaos suite pins.
-        self.wal.append(&WalRecord::Op(op.clone()));
-        match self.notifier.try_on_client_op_outcome(op.clone()) {
-            Ok(outcome) => {
-                self.ops_integrated += 1;
-                if self.tracing() {
-                    // The server sees no client rings, but integration
-                    // proves the op was generated and sent; synthesize
-                    // those lines so attached tailers get full
-                    // lifecycles. Timestamps collapse to arrival time.
-                    let seq = op.stamp.get(2);
-                    self.synth_line(site, "generate", site.0, seq);
-                    self.synth_line(site, "send", site.0, seq);
-                }
-                if self.cfg.capture_integrations {
-                    self.integration_log.push(op);
-                }
-                let frame = outcome.frame();
-                for &(dest, stamp) in &outcome.stamps {
-                    self.send_to_site(dest, frame.payload_for(stamp));
-                }
-                if let Some((dest, ack)) = outcome.ack {
-                    let msg = EditorMsg::ServerAck(ack);
-                    let mut bytes = Vec::with_capacity(msg.wire_bytes());
-                    msg.encode(&mut bytes);
-                    self.send_to_site(dest, Payload::from_vec(bytes));
-                }
-                self.wal.maybe_compact(&self.notifier);
-            }
-            Err(_) => {
-                // The notifier already counted the violation; hostile
-                // sites are quarantined and their connection evicted,
-                // the sim's policy verbatim.
-                self.notifier.quarantine(site);
-                self.evict(worker, conn);
+        s.queue.push(payload);
+        let full = s.queue.len() >= max;
+        self.net.queued += 1;
+        self.net.queued_high_water = self.net.queued_high_water.max(self.net.queued);
+        if full {
+            if let Err(e) = self.write_queue(slot) {
+                self.shed(slot, &e);
             }
         }
     }
 
-    fn wake_touched(&mut self) {
-        for (wi, touched) in self.touched.iter_mut().enumerate() {
-            if *touched {
-                self.workers[wi].waker.wake();
-                *touched = false;
+    /// Frame the slot's queue onto its connection and push what the
+    /// kernel takes; leftovers arm writability.
+    fn write_queue(&mut self, slot: usize) -> Result<(), ConnError> {
+        let max = self.cfg.compound_max.max(1);
+        let Some(s) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+            return Ok(());
+        };
+        if s.queue.is_empty() {
+            return Ok(());
+        }
+        let res = frame_queue(&mut s.conn, &s.queue, max, &mut self.net);
+        self.net.queued -= s.queue.len() as u64;
+        s.queue.clear();
+        res?;
+        s.conn.flush()?;
+        self.net.pending_out_high_water = self
+            .net
+            .pending_out_high_water
+            .max(s.conn.pending_out() as u64);
+        self.rearm(slot)
+    }
+
+    /// Match the slot's poller interest to whether it has unsent bytes.
+    fn rearm(&mut self, slot: usize) -> Result<(), ConnError> {
+        let Some(s) = self.slots.get_mut(slot).and_then(Option::as_mut) else {
+            return Ok(());
+        };
+        let want = s.conn.wants_write();
+        if want != s.write_armed {
+            let interest = if want {
+                Interest::READ_WRITE
+            } else {
+                Interest::READ
+            };
+            self.poller
+                .modify(s.conn.fd(), FIRST_SLOT + slot as u64, interest)
+                .map_err(ConnError::Io)?;
+            s.write_armed = want;
+        }
+        Ok(())
+    }
+
+    /// Write every queue that gained payloads during this batch.
+    fn flush_dirty(&mut self) {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for &slot in &dirty {
+            if let Err(e) = self.write_queue(slot) {
+                self.shed(slot, &e);
             }
         }
+        dirty.clear();
+        self.dirty = dirty;
+    }
+
+    /// Close a connection whose write side failed; a peer that stopped
+    /// draining counts as evicted.
+    fn shed(&mut self, slot: usize, e: &ConnError) {
+        if matches!(e, ConnError::Backpressure(_)) {
+            self.net.evicted += 1;
+        }
+        self.close(slot);
+    }
+
+    /// Evict a connection (protocol violation): best-effort write of what
+    /// is already queued for it, then close.
+    fn evict(&mut self, slot: usize) {
+        if self.slot_mut(slot).is_none() {
+            return;
+        }
+        self.net.evicted += 1;
+        let _ = self.write_queue(slot);
+        self.close(slot);
+    }
+
+    fn close(&mut self, slot: usize) {
+        let Some(s) = self.slots.get_mut(slot).and_then(Option::take) else {
+            return;
+        };
+        let _ = self.poller.deregister(s.conn.fd());
+        self.net.queued -= s.queue.len() as u64;
+        if let Some(site) = s.site {
+            self.routes[site.client_index()] = None;
+        }
+        self.free.push(slot);
+        self.net.closed += 1;
+    }
+
+    fn active_connections(&self) -> u64 {
+        self.slots.iter().filter(|s| s.is_some()).count() as u64
     }
 
     /// True when ring streaming is active (admin plane + trace flag).
@@ -992,24 +934,25 @@ impl<'a> Core<'a> {
     }
 
     /// The publish hook: push fresh ring-dump lines and a registry delta
-    /// into the admin plane. Runs on the core thread between message
-    /// batches — integration never pauses for a scraper, and each mutex
-    /// is held only for a bounded append/diff, never across I/O.
+    /// into the admin plane. Runs on the loop between batches —
+    /// integration never pauses for a scraper, and each mutex is held
+    /// only for a bounded append/diff, never across I/O.
     fn publish(&mut self, eof: bool) {
         let Some(admin) = self.admin.clone() else {
             return;
         };
-        self.publish_rings(&admin, eof);
+        self.drain_rings(eof);
         self.refresh_registry();
         lock(&admin.deltas).publish(&self.live);
     }
 
     /// Drain fresh recorder events (plus synthesized client-side lines)
-    /// into the admin ring log. Called after *every* message batch, not
-    /// on the registry cadence: a concurrency burst can record more
-    /// transform events in 100 ms than the recorder ring holds, and a
-    /// per-batch drain bounds the loss window to one batch.
-    fn publish_rings(&mut self, admin: &Arc<AdminShared>, eof: bool) {
+    /// into the admin ring log; `eof` marks the log complete.
+    fn drain_rings(&mut self, eof: bool) {
+        self.since_drain = 0;
+        let Some(admin) = self.admin.clone() else {
+            return;
+        };
         if self.tracing() {
             // Ack-frontier advancement is the client-side execution
             // evidence: a client acks position `p` only after executing
@@ -1028,7 +971,7 @@ impl<'a> Core<'a> {
             let (events, lost) = self.notifier.recorder().events_since(self.recorder_cursor);
             let mut text = std::mem::take(&mut self.synth);
             if lost > 0 {
-                // Ring overwrite outran the publish cadence: surface the
+                // Ring overwrite outran the drain cadence: surface the
                 // gap the way a wrapped ring dump would, so downstream
                 // assembly marks affected traces truncated instead of
                 // silently reporting them incomplete.
@@ -1052,11 +995,12 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Refresh the live registry image from the notifier, the I/O-tier
-    /// atomics, the WAL, and the core's own gauges.
+    /// Refresh the live registry image from the notifier, the socket
+    /// counters, the WAL, and the loop's own gauges.
     fn refresh_registry(&mut self) {
         let counters = self.notifier.metrics().counter_fields();
         let high_waters = self.notifier.metrics().high_water_fields();
+        let active = self.active_connections();
         let live = &mut self.live;
         for (field, v) in counters {
             // Absolute set, not add: the source is already cumulative.
@@ -1065,43 +1009,26 @@ impl<'a> Core<'a> {
         for (field, v) in high_waters {
             live.set_gauge(&format!("notifier.{field}"), v as f64);
         }
-        let s = self.stats;
-        live.set_counter("net.accepted", s.accepted.load(Ordering::Relaxed));
-        live.set_counter("net.frames_in", s.frames_in.load(Ordering::Relaxed));
-        live.set_counter("net.msgs_in", s.msgs_in.load(Ordering::Relaxed));
-        live.set_counter("net.frames_out", s.frames_out.load(Ordering::Relaxed));
-        live.set_counter("net.msgs_out", s.msgs_out.load(Ordering::Relaxed));
+        let n = &self.net;
+        live.set_counter("net.accepted", n.accepted);
+        live.set_counter("net.frames_in", n.frames_in);
+        live.set_counter("net.msgs_in", n.msgs_in);
+        live.set_counter("net.frames_out", n.frames_out);
+        live.set_counter("net.msgs_out", n.msgs_out);
+        live.set_counter("net.compound_frames_out", n.compound_frames_out);
+        live.set_counter("net.frame_errors", n.frame_errors);
+        live.set_counter("net.closed", n.closed);
+        live.set_counter("net.evicted", n.evicted);
         live.set_counter(
-            "net.compound_frames_out",
-            s.compound_frames_out.load(Ordering::Relaxed),
+            "net.io_errors",
+            self.stats.io_errors.load(Ordering::Relaxed),
         );
-        live.set_counter("net.frame_errors", s.frame_errors.load(Ordering::Relaxed));
-        live.set_counter("net.closed", s.closed.load(Ordering::Relaxed));
-        live.set_counter("net.evicted", s.evicted.load(Ordering::Relaxed));
-        live.set_counter("net.io_errors", s.io_errors.load(Ordering::Relaxed));
+        live.set_gauge("net.active_connections", active as f64);
+        live.set_gauge("net.outbox_high_water", n.queued_high_water as f64);
         live.set_gauge(
-            "core.queue_depth",
-            s.core_queue.load(Ordering::Relaxed) as f64,
+            "net.pending_out_high_water",
+            n.pending_out_high_water as f64,
         );
-        let mut active_total = 0u64;
-        for (wi, w) in self.workers.iter().enumerate() {
-            let active = w.active_conns.load(Ordering::Relaxed);
-            active_total += active;
-            live.set_gauge(&format!("net.worker{wi}.active_conns"), active as f64);
-            live.set_gauge(
-                &format!("net.worker{wi}.outbox_depth"),
-                w.outbox_depth.load(Ordering::Relaxed) as f64,
-            );
-            live.set_gauge(
-                &format!("net.worker{wi}.outbox_high_water"),
-                w.outbox_high_water.load(Ordering::Relaxed) as f64,
-            );
-            live.set_gauge(
-                &format!("net.worker{wi}.pending_out_high_water"),
-                w.pending_out_high_water.load(Ordering::Relaxed) as f64,
-            );
-        }
-        live.set_gauge("net.active_connections", active_total as f64);
         live.set_counter("core.ops_integrated", self.ops_integrated);
         live.set_counter("core.dropped_broadcasts", self.dropped_broadcasts);
         live.set_gauge("core.parked_bytes", self.parked_bytes as f64);
@@ -1112,166 +1039,36 @@ impl<'a> Core<'a> {
         live.set_gauge("wal.amplification", self.wal.amplification());
         live.set_gauge("net.uptime_us", self.now_us as f64);
     }
-}
 
-/// Publish cadence for the admin plane (registry delta + ring lines).
-const PUBLISH_INTERVAL: Duration = Duration::from_millis(100);
-
-fn core_loop(
-    cfg: &ServerConfig,
-    rx: mpsc::Receiver<CoreMsg>,
-    workers: &[Arc<WorkerShared>],
-    stats: &IoStats,
-    admin: Option<Arc<AdminShared>>,
-) -> ServerReport {
-    let started = Instant::now();
-    let mut notifier = Notifier::new(cfg.n_clients, "");
-    notifier.set_send_acks(cfg.send_acks);
-    if cfg.trace_rings && admin.is_some() {
-        notifier.set_flight_recorder_capacity(cfg.trace_ring_capacity.max(1024));
-        notifier.set_flight_recorder(true);
-    }
-    let has_admin = admin.is_some();
-    let mut core = Core {
-        cfg,
-        workers,
-        notifier,
-        wal: Wal::new(cfg.wal_compact_every.max(1)),
-        bound: HashMap::new(),
-        routes: vec![None; cfg.n_clients],
-        parked: vec![VecDeque::new(); cfg.n_clients],
-        touched: vec![false; workers.len()],
-        dropped_broadcasts: 0,
-        integration_log: Vec::new(),
-        ops_integrated: 0,
-        stats,
-        admin,
-        now_us: 0,
-        live: MetricsRegistry::new(),
-        recorder_cursor: 0,
-        synth: String::new(),
-        synth_seq: vec![0; cfg.n_clients],
-        ack_published: vec![0; cfg.n_clients],
-        parked_bytes: 0,
-    };
-
-    // Block for the first message, then drain greedily so a burst is
-    // processed (and workers woken) in one pass. With an admin plane the
-    // block carries a deadline so the publish cadence holds even while
-    // the editor port is idle.
-    let mut next_publish = Instant::now() + PUBLISH_INTERVAL;
-    'outer: loop {
-        let first = if has_admin {
-            match rx.recv_timeout(next_publish.saturating_duration_since(Instant::now())) {
-                Ok(m) => Some(m),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break 'outer,
-            }
-        } else {
-            match rx.recv() {
-                Ok(m) => Some(m),
-                Err(_) => break 'outer,
-            }
-        };
-        if let Some(first) = first {
-            core.now_us = started.elapsed().as_micros() as u64;
-            core.notifier.set_now(core.now_us);
-            let mut batch = vec![first];
-            while batch.len() < 512 {
-                match rx.try_recv() {
-                    Ok(m) => batch.push(m),
-                    Err(_) => break,
-                }
-            }
-            let mut since_drain = 0usize;
-            for m in batch {
-                match m {
-                    CoreMsg::Frames { worker, conn, msgs } => {
-                        stats.core_queue.fetch_sub(1, Ordering::Relaxed);
-                        for msg in msgs {
-                            core.on_msg(worker, conn, msg);
-                            // Mid-batch ring drain: transform recording
-                            // is O(|HB|) per op, and one socket read can
-                            // decode thousands of ops into a single
-                            // Frames message, so the drain counts editor
-                            // messages, not batch items — every 32 ops
-                            // bounds recorder-ring growth far below its
-                            // capacity. A no-op unless tracing is on.
-                            since_drain += 1;
-                            if since_drain >= 32 {
-                                since_drain = 0;
-                                if let Some(admin) = core.admin.clone() {
-                                    core.publish_rings(&admin, false);
-                                }
-                            }
-                        }
-                    }
-                    CoreMsg::Disconnected { worker, conn } => {
-                        stats.core_queue.fetch_sub(1, Ordering::Relaxed);
-                        if let Some(site) = core.bound.remove(&(worker, conn)) {
-                            if let Some(r) = core.routes.get_mut(site.client_index()) {
-                                *r = None;
-                            }
-                        }
-                    }
-                    CoreMsg::Shutdown => {
-                        // The final publish eof-marks the ring log so an
-                        // attached tailer knows the stream is complete.
-                        core.now_us = started.elapsed().as_micros() as u64;
-                        core.publish(true);
-                        core.wake_touched();
-                        break 'outer;
-                    }
-                }
-            }
-            core.wake_touched();
-            // Ring drain is per-batch, not per-cadence: a concurrency
-            // burst can outrun the recorder ring inside one publish
-            // interval, and lines lost to overwrite are lost for good.
-            if let Some(admin) = core.admin.clone() {
-                core.publish_rings(&admin, false);
-            }
+    fn report(self) -> ServerReport {
+        let active_connections = self.active_connections();
+        let n = &self.net;
+        let m = self.notifier.metrics();
+        ServerReport {
+            doc: self.notifier.doc(),
+            doc_checksum: self.notifier.doc_checksum(),
+            ops_integrated: self.ops_integrated,
+            protocol_errors: m.protocol_errors,
+            frame_errors: n.frame_errors,
+            io_errors: self.stats.io_errors.load(Ordering::Relaxed),
+            accepted: n.accepted,
+            frames_in: n.frames_in,
+            msgs_in: n.msgs_in,
+            frames_out: n.frames_out,
+            msgs_out: n.msgs_out,
+            compound_frames_out: n.compound_frames_out,
+            // Guarded ratio: a zero-op run has no frames, and NaN must
+            // never reach a JSON report.
+            msgs_per_frame: (n.frames_out > 0).then(|| n.msgs_out as f64 / n.frames_out as f64),
+            active_connections,
+            evicted: n.evicted,
+            outbox_high_water: vec![n.queued_high_water],
+            dropped_broadcasts: self.dropped_broadcasts,
+            wal_appends: self.wal.appends(),
+            wal_amplification: self.wal.amplification(),
+            wal_bytes: self.wal.bytes().to_vec(),
+            hb_high_water: m.hb_high_water,
+            integration_log: self.integration_log,
         }
-        if has_admin && Instant::now() >= next_publish {
-            core.now_us = started.elapsed().as_micros() as u64;
-            core.publish(false);
-            next_publish = Instant::now() + PUBLISH_INTERVAL;
-        }
-    }
-
-    let frames_out = stats.frames_out.load(Ordering::Relaxed);
-    let msgs_out = stats.msgs_out.load(Ordering::Relaxed);
-    let m = core.notifier.metrics();
-    ServerReport {
-        doc: core.notifier.doc(),
-        doc_checksum: core.notifier.doc_checksum(),
-        ops_integrated: core.ops_integrated,
-        protocol_errors: m.protocol_errors,
-        frame_errors: stats.frame_errors.load(Ordering::Relaxed),
-        io_errors: stats.io_errors.load(Ordering::Relaxed),
-        accepted: stats.accepted.load(Ordering::Relaxed),
-        frames_in: stats.frames_in.load(Ordering::Relaxed),
-        msgs_in: stats.msgs_in.load(Ordering::Relaxed),
-        frames_out,
-        msgs_out,
-        compound_frames_out: stats.compound_frames_out.load(Ordering::Relaxed),
-        // Guarded ratio: a zero-op run has no frames, and NaN must never
-        // reach a JSON report.
-        msgs_per_frame: (frames_out > 0).then(|| msgs_out as f64 / frames_out as f64),
-        active_connections: workers
-            .iter()
-            .map(|w| w.active_conns.load(Ordering::Relaxed))
-            .sum(),
-        evicted: stats.evicted.load(Ordering::Relaxed),
-        outbox_high_water: workers
-            .iter()
-            .map(|w| w.outbox_high_water.load(Ordering::Relaxed))
-            .collect(),
-        dropped_broadcasts: core.dropped_broadcasts,
-        wal_appends: core.wal.appends(),
-        wal_amplification: core.wal.amplification(),
-        wal_bytes: core.wal.bytes().to_vec(),
-        hb_high_water: m.hb_high_water,
-        integration_log: core.integration_log,
     }
 }

@@ -1,12 +1,15 @@
 //! End-to-end checks for the TCP tier: torn-read reassembly equivalence,
-//! a live server ↔ sim-twin differential, hostile-peer eviction,
-//! reconnect rebinding, and connection churn over recycled slab slots.
+//! a live server ↔ sim-twin differential, hostile-peer eviction, a WAL
+//! that hostile ops cannot poison, slow-consumer shedding, reconnect
+//! rebinding, and connection churn over recycled slab slots.
 
 use cvc_core::site::SiteId;
+use cvc_core::state_vector::CompressedStamp;
 use cvc_net::frame::{write_frame, FrameReader};
-use cvc_net::{replay_twin, run_load, EditorServer, LoadConfig, ServerConfig};
+use cvc_net::{replay_twin, run_load, AdminClient, EditorServer, LoadConfig, ServerConfig};
 use cvc_reduce::client::Client;
 use cvc_reduce::msg::{ClientAckMsg, EditorMsg};
+use cvc_reduce::standby::Standby;
 use cvc_sim::wire::{WireDecode, WireEncode, WireSize};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -125,7 +128,6 @@ fn server_and_sim_twin_converge_byte_identically() {
     let n = 8;
     let server = EditorServer::spawn(ServerConfig {
         n_clients: n,
-        workers: 2,
         capture_integrations: true,
         ..ServerConfig::default()
     })
@@ -185,7 +187,6 @@ fn hostile_peer_is_evicted_not_fatal() {
     let n = 4;
     let server = EditorServer::spawn(ServerConfig {
         n_clients: n,
-        workers: 1,
         ..ServerConfig::default()
     })
     .expect("server spawns");
@@ -235,7 +236,6 @@ fn hostile_peer_is_evicted_not_fatal() {
 fn reconnect_rebinds_with_real_ack_frontier() {
     let server = EditorServer::spawn(ServerConfig {
         n_clients: 2,
-        workers: 1,
         ..ServerConfig::default()
     })
     .expect("server spawns");
@@ -294,6 +294,198 @@ fn reconnect_rebinds_with_real_ack_frontier() {
     assert_eq!(recovered.doc_checksum(), report.doc_checksum);
 }
 
+/// A hostile op is rejected live and never reaches the WAL: the log the
+/// server hands back recovers, and a standby built from it comes up
+/// unpoisoned, both at the live document's checksum.
+#[test]
+fn hostile_op_never_poisons_the_wal() {
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: 2,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+
+    let site1 = SiteId::from_client_index(0);
+    let site2 = SiteId::from_client_index(1);
+    let mut editor1 = Client::new(site1, "");
+    let mut editor2 = Client::new(site2, "");
+
+    let mut peer1 = TestPeer::connect(&addr);
+    peer1.send(&EditorMsg::ClientAck(ClientAckMsg {
+        origin: site1,
+        received: 0,
+    }));
+    let mut peer2 = TestPeer::connect(&addr);
+    peer2.send(&EditorMsg::ClientAck(ClientAckMsg {
+        origin: site2,
+        received: 0,
+    }));
+
+    peer1.send(&EditorMsg::ClientOp(editor1.insert(0, "a")));
+    apply_server_ops(&mut peer2, &mut editor2, 1);
+
+    // Site 1's next op, forged to claim 99 server ops it never received.
+    let mut hostile = editor1.insert(1, "b");
+    hostile.stamp = CompressedStamp::new(99, 2);
+    peer1.send(&EditorMsg::ClientOp(hostile));
+    // The server evicts site 1: its stream ends after op 1's ack.
+    let mut sink = Vec::new();
+    let _ = peer1.stream.read_to_end(&mut sink);
+
+    // Site 2 keeps editing past the rejection and is acknowledged.
+    peer2.send(&EditorMsg::ClientOp(editor2.insert(0, "c")));
+    loop {
+        if let EditorMsg::ServerAck(a) = peer2.recv() {
+            if a.acked == 1 {
+                break;
+            }
+        }
+    }
+
+    let report = server.shutdown();
+    assert_eq!(report.ops_integrated, 2);
+    assert_eq!(report.protocol_errors, 1, "the forged op is rejected");
+    assert_eq!(report.evicted, 1, "its connection is shed");
+
+    let recovery = cvc_reduce::wal::Wal::recover(&report.wal_bytes).expect("WAL recovers");
+    let (recovered, _) = recovery.restore(2, "").expect("WAL restores unpoisoned");
+    assert_eq!(recovered.doc_checksum(), report.doc_checksum);
+    let standby = Standby::from_recovery(&recovery, 2, "");
+    assert!(standby.poisoned().is_none(), "{:?}", standby.poisoned());
+    assert_eq!(standby.notifier().doc_checksum(), report.doc_checksum);
+}
+
+/// A bound client that never reads is shed once its unsent bytes pass the
+/// per-connection cap, and the single loop never blocks on its socket:
+/// the other client's ops keep being acknowledged throughout, and its
+/// replica ends at the server's document.
+#[test]
+fn slow_consumer_is_shed_while_others_are_served() {
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: 2,
+        admin_addr: Some("127.0.0.1:0".to_string()),
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+    let admin_addr = server.admin_addr().expect("admin plane binds").to_string();
+    let mut admin = AdminClient::connect(&admin_addr, Duration::from_secs(10)).expect("admin");
+
+    // Site 1 binds, then never reads again.
+    let mut slow = TestPeer::connect(&addr);
+    slow.send(&EditorMsg::ClientAck(ClientAckMsg {
+        origin: SiteId::from_client_index(0),
+        received: 0,
+    }));
+    let site2 = SiteId::from_client_index(1);
+    let mut editor = Client::new(site2, "");
+    let mut fast = TestPeer::connect(&addr);
+    fast.send(&EditorMsg::ClientAck(ClientAckMsg {
+        origin: site2,
+        received: 0,
+    }));
+
+    // 16 KiB inserts in rounds of 64 (1 MiB of broadcast toward site 1
+    // per round), each op acknowledged before the next is sent, until
+    // the server reports the shed. The cap is 8 MiB plus whatever the
+    // kernel buffers; 64 MiB without a shed fails the test.
+    let text = "x".repeat(16 * 1024);
+    let mut ops = 0u64;
+    let mut shed = false;
+    while !shed && ops < 64 * 64 {
+        for _ in 0..64 {
+            fast.send(&EditorMsg::ClientOp(editor.insert(editor.doc_len(), &text)));
+            ops += 1;
+            loop {
+                match fast.recv() {
+                    EditorMsg::ServerAck(a) if a.acked == ops => break,
+                    EditorMsg::ServerAck(_) => {}
+                    other => panic!("unexpected downstream message: {other:?}"),
+                }
+            }
+        }
+        let snap = admin.request_text("snapshot").expect("snapshot");
+        shed = snap.contains("\"net.evicted\":1");
+    }
+    assert!(shed, "a reader that never drains must be shed");
+
+    // The shed reader's stream ends after what the kernel had taken.
+    let mut sink = Vec::new();
+    slow.stream
+        .read_to_end(&mut sink)
+        .expect("the server closed the slow reader's stream");
+    assert!((sink.len() as u64) < ops * text.len() as u64);
+
+    drop(admin);
+    let report = server.shutdown();
+    assert_eq!(report.evicted, 1);
+    assert_eq!(report.active_connections, 1);
+    assert_eq!(report.ops_integrated, ops);
+    assert_eq!(report.protocol_errors, 0);
+    assert_eq!(report.doc_checksum, editor.doc_checksum());
+}
+
+/// Large concurrent inserts from many sites fan into one reader's queue
+/// within a single loop pass. The compound frames that carry them must
+/// stay within the frame cap the reader enforces, or the reader's own
+/// reassembly would reject the stream as hostile.
+#[test]
+fn compound_frames_stay_within_the_frame_cap() {
+    let writers = 16;
+    let ops_each = 4;
+    let server = EditorServer::spawn(ServerConfig {
+        n_clients: writers + 1,
+        ..ServerConfig::default()
+    })
+    .expect("server spawns");
+    let addr = server.addr().to_string();
+
+    let mut reader = TestPeer::connect(&addr);
+    reader.send(&EditorMsg::ClientAck(ClientAckMsg {
+        origin: SiteId::from_client_index(writers),
+        received: 0,
+    }));
+    // Each writer authors 4 × 60 KiB inserts on its empty replica and
+    // ships them in one write, so the bursts land together.
+    let text = "y".repeat(60 * 1024);
+    let mut bursts = Vec::new();
+    for w in 0..writers {
+        let site = SiteId::from_client_index(w);
+        let mut peer = TestPeer::connect(&addr);
+        peer.send(&EditorMsg::ClientAck(ClientAckMsg {
+            origin: site,
+            received: 0,
+        }));
+        let mut editor = Client::new(site, "");
+        let mut burst = Vec::new();
+        for _ in 0..ops_each {
+            let msg = EditorMsg::ClientOp(editor.insert(editor.doc_len(), &text));
+            let mut body = Vec::with_capacity(msg.wire_bytes());
+            msg.encode(&mut body);
+            write_frame(&mut burst, &[&body]);
+        }
+        bursts.push((peer, burst));
+    }
+    for (peer, burst) in &mut bursts {
+        peer.stream.write_all(burst).expect("write burst");
+    }
+
+    // `recv` reassembles through a `FrameReader`, which rejects any frame
+    // past MAX_FRAME_BYTES.
+    let mut received = 0;
+    while received < writers * ops_each {
+        match reader.recv() {
+            EditorMsg::ServerOp(_) => received += 1,
+            EditorMsg::Compound(ms) => received += ms.len(),
+            other => panic!("unexpected downstream message: {other:?}"),
+        }
+    }
+    let report = server.shutdown();
+    assert_eq!(report.ops_integrated, (writers * ops_each) as u64);
+    assert_eq!(report.evicted, 0);
+}
+
 /// Pump `peer` until `count` server ops have been applied to `replica`.
 fn apply_server_ops(peer: &mut TestPeer, replica: &mut Client, count: usize) {
     let mut applied = 0;
@@ -312,19 +504,16 @@ fn apply_server_ops(peer: &mut TestPeer, replica: &mut Client, count: usize) {
     }
 }
 
-/// Heavy connect/disconnect churn forces the workers to recycle slab
-/// slots while honest traffic flows and evictions race disconnects. The
-/// generation tag on connection ids must keep every stale write or close
-/// command away from a slot's next occupant: the honest session still
-/// converges and no cross-connection leak corrupts a stream.
+/// Heavy connect/disconnect churn forces the server to recycle slab
+/// slots while honest traffic flows and evictions race disconnects.
+/// Nothing queued for a closed connection may reach a slot's next
+/// occupant: the honest session still converges and no
+/// cross-connection leak corrupts a stream.
 #[test]
 fn connection_churn_never_leaks_across_slot_reuse() {
     let n = 4;
     let server = EditorServer::spawn(ServerConfig {
         n_clients: n,
-        // One worker: every churned connection shares the honest
-        // clients' slab, maximizing slot reuse.
-        workers: 1,
         ..ServerConfig::default()
     })
     .expect("server spawns");
@@ -343,9 +532,9 @@ fn connection_churn_never_leaks_across_slot_reuse() {
                 match i % 3 {
                     // Connect-and-drop: pure slot churn.
                     0 => {}
-                    // Out-of-range hello: the bind is refused and an
-                    // eviction Close is queued — a command that can race
-                    // this drop and the slot's reuse.
+                    // Out-of-range hello: the bind is refused and the
+                    // connection evicted, racing this drop and the
+                    // slot's reuse.
                     1 => {
                         let msg = EditorMsg::ClientAck(ClientAckMsg {
                             origin: SiteId::from_client_index(64),
@@ -357,8 +546,7 @@ fn connection_churn_never_leaks_across_slot_reuse() {
                         write_frame(&mut frame, &[&body]);
                         let _ = s.write_all(&frame);
                     }
-                    // Unparseable garbage: a frame-error close in the
-                    // worker's event phase.
+                    // Unparseable garbage: a frame-error close.
                     _ => {
                         let _ = s.write_all(&[0xDE, 0xAD, 0xBE, 0xEF]);
                     }
